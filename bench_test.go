@@ -22,6 +22,7 @@ import (
 	"ovshighway/internal/conntrack"
 	"ovshighway/internal/dpdkr"
 	"ovshighway/internal/flow"
+	"ovshighway/internal/flow/flowtest"
 	"ovshighway/internal/mempool"
 	"ovshighway/internal/nic"
 	"ovshighway/internal/openflow"
@@ -697,6 +698,118 @@ func rxYield(pmd *dpdkr.PMD, out []*mempool.Buf) int {
 		runtime.Gosched()
 	}
 	return k
+}
+
+// stageFlows is the working set of the stage benchmarks: 256 flows differing
+// in source port, resident in the EMC like a chain's, and enough distinct
+// keys that neither the hash nor the cache probe sees one hot input.
+const stageFlows = 256
+
+var stageSink uint64
+
+// BenchmarkStage times the per-packet stages of one vSwitch hop, each alone
+// on the calling goroutine (no switch thread, no hand-off), one packet per
+// op: parse the frame, pack its key straight from the frame, hash the key,
+// probe the EMC. They are the deterministic lines CI holds to the committed
+// baseline (BENCH_base.txt), and they must not allocate. The hash seed is
+// pinned so every run probes the same EMC sets.
+func BenchmarkStage(b *testing.B) {
+	flow.PinHashSeed(b, flowtest.Seeds[0])
+	tb := flow.NewTable()
+	f := tb.Add(10, flow.MatchInPort(1), flow.Actions{flow.Output(2)}, 0)
+	gen := tb.Generation()
+	emc := flow.NewEMC(8192)
+	spec := DefaultTrafficSpec()
+	frames := make([][]byte, stageFlows)
+	parsers := make([]pkt.Parser, stageFlows)
+	kps := make([]flow.Packed, stageFlows)
+	hashes := make([]uint32, stageFlows)
+	for i := range frames {
+		spec.SrcPort = uint16(1000 + i)
+		raw := make([]byte, 64)
+		n, err := pkt.BuildUDP(raw, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames[i] = raw[:n]
+		if err := parsers[i].Parse(frames[i]); err != nil {
+			b.Fatal(err)
+		}
+		flow.PackFrame(&parsers[i], frames[i], 1, &kps[i])
+		hashes[i] = kps[i].Hash()
+		if _, _, evicted := emc.Insert(kps[i], hashes[i], f, gen); evicted {
+			b.Fatalf("flow %d evicted another from its EMC set: the working set must stay resident", i)
+		}
+	}
+	b.Run("parse", func(b *testing.B) {
+		var p pkt.Parser
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := p.Parse(frames[i%stageFlows]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("packframe", func(b *testing.B) {
+		var kp flow.Packed
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i % stageFlows
+			flow.PackFrame(&parsers[j], frames[j], 1, &kp)
+		}
+		stageSink += uint64(kp[31])
+	})
+	b.Run("hash64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			stageSink += kps[i%stageFlows].Hash64()
+		}
+	})
+	b.Run("emc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i % stageFlows
+			if emc.Lookup(kps[j], hashes[j], gen) == nil {
+				b.Fatal("unexpected EMC miss")
+			}
+		}
+	})
+}
+
+// BenchmarkProcessBatch is BenchmarkPMDBatch/untagged without the two
+// goroutine hand-offs per burst: the switch is never started, and each op
+// pushes one 32-packet burst into the ingress ring, runs one forwarding-loop
+// iteration on the calling goroutine (Switch.PollOnce: receive, parse, key,
+// hash, EMC, group, output, flush) and takes the burst off the egress ring.
+// ns/op over 32 is what one hop costs a packet; 0 allocs/op, CI-gated.
+func BenchmarkProcessBatch(b *testing.B) {
+	sw := vswitch.New(vswitch.Config{SweepInterval: time.Hour})
+	pool := mempool.MustNew(mempool.Config{Capacity: 2048})
+	portA, pmdA, _ := dpdkr.NewPort(1, "a", 1024)
+	portB, pmdB, _ := dpdkr.NewPort(2, "b", 1024)
+	sw.AddPort(portA)
+	sw.AddPort(portB)
+	sw.Table().Add(10, flow.MatchInPort(1), flow.Actions{flow.Output(2)}, 0)
+
+	raw := make([]byte, 256)
+	n, _ := pkt.BuildUDP(raw, DefaultTrafficSpec())
+	bufs := make([]*mempool.Buf, 32)
+	for i := range bufs {
+		bufs[i], _ = pool.Get()
+		bufs[i].SetBytes(raw[:n])
+	}
+	burst := func() {
+		if pmdA.Tx(bufs) != len(bufs) || sw.PollOnce() != len(bufs) || pmdB.Rx(bufs) != len(bufs) {
+			b.Fatal("burst did not cross the switch whole")
+		}
+	}
+	burst() // warm the EMC entry and the accumulator capacities
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		burst()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(bufs)), "ns/pkt")
 }
 
 // BenchmarkVSwitchSingleHop is the vanilla per-hop reference point: one

@@ -4,7 +4,7 @@
 // files named as arguments) and writes one JSON object per benchmark line:
 //
 //	go test -bench . -benchmem -count 5 . | tee BENCH_head.txt | benchjson > BENCH_head.json
-//	benchjson BENCH_pr8.txt > BENCH_pr8.json
+//	benchjson BENCH_base.txt > BENCH_base.json
 //
 // Context lines (goos/goarch/pkg/cpu) are folded into every record; metric
 // suffixes (ns/op, MB/s, B/op, allocs/op, and any custom unit) become

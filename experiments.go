@@ -1263,7 +1263,7 @@ type MigrateRow struct {
 	VNF           string
 	From, To      string
 	Cutover       time.Duration
-	Drained       bool // old path observed quiet before the drain deadline
+	Drained       bool  // old path observed quiet before the drain deadline
 	Lost          int64 // in-flight delta across the migration; 0 = no loss
 	BaseMpps      float64
 	AfterMpps     float64
@@ -1602,7 +1602,7 @@ func RunConntrackPoint(conns int, cfg ExperimentConfig) (ConntrackRow, error) {
 	if conns < 1 || conns > 1<<22 {
 		return ConntrackRow{}, fmt.Errorf("conntrack: conns %d out of range [1,%d]", conns, 1<<22)
 	}
-	// Headroom: the arena splits evenly across shards but Hash2 spreads
+	// Headroom: the arena splits evenly across shards but HashKey spreads
 	// keys only statistically evenly, and window misses establish new
 	// connections on top of the seeded ones.
 	ct, err := conntrack.New(conntrack.Config{
@@ -1624,6 +1624,7 @@ func RunConntrackPoint(conns int, cfg ExperimentConfig) (ConntrackRow, error) {
 
 	sw := vswitch.New(vswitch.Config{NumPMDs: cfg.NumPMDs})
 	sw.AttachConntrack(ct)
+	defer sw.DetachConntrack(ct)
 	pool := mempool.MustNew(mempool.Config{Capacity: 4096})
 	portGen, pmdGen, err := dpdkr.NewPort(1, "gen", 1024)
 	if err != nil {

@@ -2,11 +2,13 @@
 // stateful VNFs (NAT44, ACL established-bypass, L4 balancer) ride on.
 //
 // The table is split into power-of-two-bucket, open-addressed shards selected
-// by the same secondary key hash (flow.Packed.Hash2) that drives RSS queue
-// spreading, the SMC signature and ECMP path pinning. One flow therefore maps
-// to one RX queue, one PMD, one fabric path — and one conntrack shard: the
-// connection's state lives where its packets arrive, so the hit path takes no
-// locks and bounces no cache lines between cores.
+// by a hash of the connection 5-tuple (HashKey). It is mixed by the function
+// and the per-process secret seed that drive RSS queue spreading, the SMC
+// check and ECMP path pinning, but it is not the same value: those hash the
+// whole packed classifier key, MACs included, so a connection's shard and
+// its packets' RX queue are chosen independently. A shard has one writer —
+// the owning VNF's goroutine — so the hit path takes no locks and bounces no
+// cache lines between cores.
 //
 // Memory discipline follows the mempool idiom: every entry lives in one
 // arena slice preallocated at construction and recycled through an index
@@ -40,22 +42,15 @@ import (
 // that direction's packets carry).
 type Key = pkt.FiveTuple
 
-// HashKey returns the shard/bucket hash of a connection key: the same Hash2
-// the RSS queue pick, the SMC signature and the ECMP path pinning derive
-// from, computed over the 5-tuple embedded in a packed classifier key
-// (everything else zero, as RSSHash fixes the in-port contribution at zero).
-// Allocation-free.
+// HashKey returns the shard/bucket hash of a connection key: the 13 tuple
+// bytes as two words through flow.HashWords, high half. What it shares with
+// the RSS queue pick, the SMC check and the ECMP path pin is the mixing
+// function and the per-process secret seed, not the value: those hash a
+// whole packed classifier key, MACs included. Allocation-free.
 func HashKey(k Key) uint32 {
-	fk := flow.Key{
-		EthType: pkt.EtherTypeIPv4,
-		IPSrc:   k.Src.Uint32(),
-		IPDst:   k.Dst.Uint32(),
-		IPProto: k.Proto,
-		L4Src:   k.SrcPort,
-		L4Dst:   k.DstPort,
-	}
-	kp := fk.Pack()
-	return kp.Hash2()
+	w0 := uint64(k.Src.Uint32())<<32 | uint64(k.Dst.Uint32())
+	w1 := uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto)
+	return uint32(flow.HashWords(w0, w1) >> 32)
 }
 
 // Entry states. Transitions: Free→Live (owner publish), Live→Dead (owner
@@ -192,8 +187,7 @@ type shard struct {
 
 // Config parametrizes New. Zero values take defaults.
 type Config struct {
-	// Shards is the shard count, normally the PMD count so the Hash2 pick
-	// aligns state with the receiving thread (default 1).
+	// Shards is the shard count, normally the RSS queue count (default 1).
 	Shards int
 	// Capacity is the total preallocated entry count across all shards
 	// (default 65536). Inserts beyond a shard's share fail rather than
@@ -274,19 +268,19 @@ func (t *Table) Capacity() int { return len(t.arena) }
 // IdleTimeout returns the idle-expiry horizon Expire applies.
 func (t *Table) IdleTimeout() time.Duration { return t.idleTO }
 
-// shardOf mirrors the RSS queue pick (hash % queues): the same modulus the
-// guest-side fan-out uses, so connection → shard and connection → PMD agree.
+// shardOf picks a shard the way the guest-side fan-out picks an RX queue
+// (hash % n), over HashKey instead of the packed-key hash.
 func (t *Table) shardOf(h uint32) *shard {
 	return t.shards[h%uint32(len(t.shards))]
 }
 
 // homeSlot derives a bucket home index for hash h. The shard pick consumes
-// the hash's low bits (h % shards, pinned to the RSS modulus), so with a
+// the hash's low bits (h % shards), so with a
 // power-of-two shard count every key in a shard shares those bits — masking
 // the raw hash would leave only 1/shards of the bucket array reachable as
 // home positions, clustering entries and multiplying probe-chain lengths.
 // A multiply-shift remix spreads home slots over the whole array while
-// leaving the shard pick, and its PMD alignment, untouched.
+// leaving the shard pick untouched.
 func homeSlot(h, mask uint32) uint32 {
 	x := h * 0x9e3779b1 // odd golden-ratio constant; fold high bits down
 	x ^= x >> 16

@@ -1,11 +1,14 @@
 package conntrack
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"ovshighway/internal/flow/flowtest"
 	"ovshighway/internal/pkt"
 )
 
@@ -381,8 +384,45 @@ func TestConntrackHomeSlotSpread(t *testing.T) {
 	}
 }
 
-// TestConntrackShardAlignment pins the shard pick to the RSS queue formula:
-// shard = Hash2 % shards, the same modulus the guest-side RSS fan-out uses.
+// TestConntrackCollisionFlood: 64k connections whose keys the old unkeyed
+// FNV-1a hash sent to one value in its low 16 bits spread over the shards,
+// and over each shard's home slots, like uniform — under every pinned seed.
+func TestConntrackCollisionFlood(t *testing.T) {
+	const shards = 4
+	packed := flowtest.FloodKeys(65536)
+	keys := make([]Key, len(packed))
+	for i, kp := range packed {
+		// Packed layout: IPSrc 20:24, IPDst 24:28, proto 28, ports 30:34.
+		keys[i] = Key{
+			Src: pkt.IP4(kp[20:24]), Dst: pkt.IP4(kp[24:28]), Proto: kp[28],
+			SrcPort: binary.BigEndian.Uint16(kp[30:32]), DstPort: binary.BigEndian.Uint16(kp[32:34]),
+		}
+	}
+	flowtest.ForEachSeed(t, func(t *testing.T) {
+		ct, err := New(Config{Shards: shards, Capacity: 2 * len(keys), IdleTimeout: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perShard := make([]int, shards)
+		slots := make([][]int, shards)
+		for i := range slots {
+			slots[i] = make([]int, ct.shards[i].mask+1)
+		}
+		for _, k := range keys {
+			h := HashKey(k)
+			sh := h % shards
+			perShard[sh]++
+			slots[sh][homeSlot(h, ct.shards[sh].mask)]++
+		}
+		flowtest.CheckSpread(t, "flood connections over shards", perShard)
+		for i := range slots {
+			flowtest.CheckSpread(t, fmt.Sprintf("flood connections over shard %d home slots", i), slots[i])
+		}
+	})
+}
+
+// TestConntrackShardAlignment pins the shard pick: shard = HashKey % shards,
+// the modulus form the guest-side RSS fan-out uses.
 func TestConntrackShardAlignment(t *testing.T) {
 	ct, err := New(Config{Shards: 4, Capacity: 4096, IdleTimeout: time.Hour})
 	if err != nil {
@@ -400,7 +440,7 @@ func TestConntrackShardAlignment(t *testing.T) {
 	ss := ct.ShardStats()
 	for i, want := range perShard {
 		if ss[i].Inserts != uint64(want) {
-			t.Fatalf("shard %d inserts %d, want %d (Hash2 %% shards)", i, ss[i].Inserts, want)
+			t.Fatalf("shard %d inserts %d, want %d (HashKey %% shards)", i, ss[i].Inserts, want)
 		}
 	}
 }

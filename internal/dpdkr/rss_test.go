@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ovshighway/internal/flow"
+	"ovshighway/internal/flow/flowtest"
 	"ovshighway/internal/mempool"
 	"ovshighway/internal/pkt"
 )
@@ -28,7 +29,12 @@ func buildFlowFrame(t *testing.T, srcPort uint16) []byte {
 // checks the guest-side RSS split: every frame lands on the queue its EMC
 // hash selects, more than one queue receives traffic, and repeated frames of
 // one flow always pick the same queue (per-flow ordering depends on this).
+// It holds under every pinned hash seed.
 func TestGuestTxRSSFanOut(t *testing.T) {
+	flowtest.ForEachSeed(t, testGuestTxRSSFanOut)
+}
+
+func testGuestTxRSSFanOut(t *testing.T) {
 	const queues = 4
 	pool := mempool.MustNew(mempool.Config{Capacity: 256, BufSize: 256, Headroom: 32})
 	port, pmd, err := NewPortMQ(1, "dpdkr1", 64, queues)

@@ -38,7 +38,7 @@ type Action struct {
 	Vlan uint16  // ActPushVlan / ActSetVlan
 	PCP  uint8   // ActSetVlanPcp
 	// Ports[:NPorts] are the parallel destinations of an ActOutputECMP: each
-	// packet is pinned to one of them by its flow hash (lane + Hash2), so a
+	// packet is pinned to one of them by its flow hash (lane + high half of Hash64), so a
 	// flow never straddles paths while distinct flows spread.
 	Ports  [MaxECMPPorts]uint32
 	NPorts uint8

@@ -1,0 +1,101 @@
+// Package flowtest holds what the hash tests of flow, conntrack, vswitch and
+// dpdkr share: the pinned seeds, the oracle of the unkeyed hash the tree
+// used to have, a key set built to defeat that hash, and the measure of
+// "spreads like a uniform hash". Only tests import it.
+package flowtest
+
+import (
+	"fmt"
+	"testing"
+
+	"ovshighway/internal/flow"
+	"ovshighway/internal/pkt"
+)
+
+// Seeds are the process hash seeds every seed-sensitive test runs under
+// (flow.PinHashSeed), so that none passes on one seed's luck.
+var Seeds = [3]uint64{1, 0x9e3779b97f4a7c15, 0xdeadbeefcafef00d}
+
+// ForEachSeed runs f as a subtest under each of Seeds. The seed is pinned
+// before f runs, so whatever f starts (a switch, with its own cleanup) has
+// stopped by the time the previous seed is restored.
+func ForEachSeed(t *testing.T, f func(t *testing.T)) {
+	for _, seed := range Seeds {
+		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
+			flow.PinHashSeed(t, seed)
+			f(t)
+		})
+	}
+}
+
+// FNV1a continues a 32-bit FNV-1a hash from state h over b. Started from
+// FNVOffset over all 36 packed bytes it is the flow hash this tree used
+// before Hash64: unkeyed, and with low bits that depend only on the low
+// bits of its state, which is what FloodKeys exploits.
+func FNV1a(h uint32, b []byte) uint32 {
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return h
+}
+
+// FNVOffset is the FNV-1a offset basis.
+const FNVOffset uint32 = 2166136261
+
+// FloodKeys returns n distinct well-formed UDP keys that the old FNV-1a
+// flow hash sent to one value in its low 16 bits — one EMC set, one SMC
+// bucket — the flood an unkeyed hash lets a single sender aim. The source
+// address counts up; the low byte of the source port is solved so the hash
+// state entering the last varying byte agrees in its low 16 bits, which
+// FNV-1a then carries through the fixed tail.
+func FloodKeys(n int) []flow.Packed {
+	const portLo = 31 // offset of the source port's low byte in a Packed
+	keys := make([]flow.Packed, 0, n)
+	var want uint16
+	for i := uint32(0); len(keys) < n; i++ {
+		k := flow.Key{
+			InPort: 1, EthType: pkt.EtherTypeIPv4,
+			EthSrc: pkt.MAC{2, 0, 0, 0, 0, 1}, EthDst: pkt.MAC{2, 0, 0, 0, 0, 2},
+			IPSrc: 0x0a000000 + i, IPDst: 0x0a630001,
+			IPProto: pkt.ProtoUDP, L4Src: 0x4000, L4Dst: 80,
+		}
+		kp := k.Pack()
+		s := uint16(FNV1a(FNVOffset, kp[:portLo]))
+		if len(keys) == 0 {
+			want = s
+		}
+		if (s^want)>>8 != 0 {
+			continue // the one free byte reaches only the low 8 bits
+		}
+		kp[portLo] = byte(s ^ want)
+		keys = append(keys, kp)
+	}
+	return keys
+}
+
+// CheckSpread fails tb unless the keys counted in loads (one counter per
+// bucket) spread within 2x of what a uniform hash gives. Two measures, by
+// bucket size: the pairs of keys sharing a bucket, against n(n-1)/2m —
+// always, because the fullest of thousands of small Poisson buckets strays
+// past twice its mean for a perfect hash too; and, once the mean is large
+// enough (64: twice the mean is eight standard deviations out) for the
+// extremes to mean something, every bucket between half and twice the mean.
+func CheckSpread(tb testing.TB, what string, loads []int) {
+	tb.Helper()
+	n, pairs, lo, hi := 0, 0, loads[0], loads[0]
+	for _, l := range loads {
+		n += l
+		pairs += l * (l - 1) / 2
+		lo, hi = min(lo, l), max(hi, l)
+	}
+	mean := float64(n) / float64(len(loads))
+	uniform := mean * float64(n-1) / 2
+	if float64(pairs) > 2*uniform {
+		tb.Errorf("%s: %d keys over %d buckets share a bucket %d times (fullest holds %d); a uniform hash gives %.0f, the bound is twice that",
+			what, n, len(loads), pairs, hi, uniform)
+	}
+	if mean >= 64 && (float64(hi) > 2*mean || float64(lo) < mean/2) {
+		tb.Errorf("%s: %d keys over %d buckets: loads range %d..%d, want within 2x of the mean %.0f",
+			what, n, len(loads), lo, hi, mean)
+	}
+}

@@ -12,6 +12,7 @@ package flow
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"ovshighway/internal/pkt"
@@ -108,40 +109,49 @@ func (p *Packed) MaskedEqual(mask, want *Packed) bool {
 	return true
 }
 
-// Hash returns an FNV-1a hash of the packed bytes.
-func (p Packed) Hash() uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for _, b := range p {
-		h ^= uint32(b)
-		h *= prime32
-	}
-	return h
+// mix is the 64×64→128-bit multiply folded back to 64 bits (hi ^ lo): the
+// wyhash/mum primitive. One of these replaces eight FNV byte steps.
+func mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
-// Hash2 returns a second hash of the packed bytes, independent of Hash:
-// FNV-1a over a different offset basis with a murmur-style finalizer. The
-// SMC stores it alongside the primary hash's signature, so an entry must
-// agree on ~48 independent hash bits before its mask-cover verification —
-// pushing undetectable signature collisions below any realistic flow count.
-func (p *Packed) Hash2() uint32 {
-	const prime32 = 16777619
-	h := uint32(0x9747b28c)
-	for _, b := range p {
-		h ^= uint32(b)
-		h *= prime32
-	}
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	return h
+// Hash64 is the tree's one flow hash: the 36 packed bytes read as five
+// little-endian words, each XORed with its own secret lane key (hashSeed)
+// and folded through 128-bit multiplies — three independent ones over the
+// words, one over their results, so every key bit passes through two. The
+// lane keys are secret per process, so a sender cannot choose keys that
+// collide; both operands of every multiply carry key material, so no public
+// input zeroes a lane. Consumers split the result: Hash (low half) indexes
+// the EMC and SMC and signs SMC entries, Hash2 (high half) is the SMC's
+// second check, the RSS queue pick and the ECMP path pin.
+func (p *Packed) Hash64() uint64 {
+	k := &hashSeed
+	a := mix(binary.LittleEndian.Uint64(p[0:8])^k[0], binary.LittleEndian.Uint64(p[8:16])^k[1])
+	b := mix(binary.LittleEndian.Uint64(p[16:24])^k[2], binary.LittleEndian.Uint64(p[24:32])^k[3])
+	c := mix(uint64(binary.LittleEndian.Uint32(p[32:36]))^k[4], k[5])
+	return mix(a^c, b^k[6])
+}
+
+// Hash returns the low half of Hash64.
+func (p *Packed) Hash() uint32 { return uint32(p.Hash64()) }
+
+// Hash2 returns the high half of Hash64. Callers that already hold the
+// 64-bit value shift it instead of calling this.
+func (p *Packed) Hash2() uint32 { return uint32(p.Hash64() >> 32) }
+
+// HashWords mixes a key that fits two words with the same function and
+// process seed as Hash64 — conntrack's 13-byte 5-tuple uses it, so the
+// connection table is keyed like the flow caches without building a Packed
+// per probe. Its values are unrelated to any Packed's Hash64.
+func HashWords(w0, w1 uint64) uint64 {
+	k := &hashSeed
+	return mix(mix(w0^k[0], w1^k[1])^k[5], k[6])
 }
 
 // ExtractKey builds a classifier key from a parsed packet and its ingress
-// port. It allocates nothing.
+// port: the control-plane and test constructor. The datapath packs straight
+// from the frame (PackFrame). It allocates nothing.
 func ExtractKey(p *pkt.Parser, inPort uint32) Key {
 	k := Key{InPort: inPort}
 	if !p.Decoded.Has(pkt.LayerEthernet) {
@@ -171,21 +181,54 @@ func ExtractKey(p *pkt.Parser, inPort uint32) Key {
 	return k
 }
 
+// PackFrame writes the packed classifier key of frame, as it arrived on
+// inPort, straight into out: the datapath's form of ExtractKey(p,
+// inPort).Pack(), byte-for-byte equal to it on every frame, without the
+// intermediate Key or the per-field MAC/IP4 copies. p must hold the result
+// of p.Parse(frame): the parser has validated every length PackFrame relies
+// on, so the header fields are read at fixed offsets gated by p.Decoded.
+// Allocates nothing.
+func PackFrame(p *pkt.Parser, frame []byte, inPort uint32, out *Packed) {
+	*out = Packed{}
+	binary.BigEndian.PutUint32(out[0:4], inPort)
+	d := p.Decoded
+	if !d.Has(pkt.LayerEthernet) {
+		return
+	}
+	copy(out[4:10], frame[6:12])
+	copy(out[10:16], frame[0:6])
+	l3 := pkt.EthernetLen
+	if d.Has(pkt.LayerVLAN) {
+		out[18], out[19] = frame[14]&0x0f, frame[15] // VID, PCP/DEI masked off
+		l3 += pkt.VLANLen
+	}
+	copy(out[16:18], frame[l3-2:l3]) // EtherType, the encapsulated one when tagged
+	l4 := l3 + pkt.IPv6Len
+	if d.Has(pkt.LayerIPv4) {
+		ip := frame[l3 : l3+pkt.IPv4MinLen]
+		copy(out[20:28], ip[12:20])
+		out[28], out[29] = ip[9], ip[1]>>2
+		l4 = l3 + int(ip[0]&0x0f)*4
+	}
+	if d&(pkt.LayerUDP|pkt.LayerTCP) != 0 {
+		copy(out[30:34], frame[l4:l4+4])
+	}
+}
+
 // RSSHash computes a frame's receive-side-scaling hash the way the
-// simulated multi-queue ports' "hardware" does: parse, extract the header
-// key, and reuse the secondary key hash (Hash2) — the same value the SMC
-// signature and the ECMP path pinning derive from, so one flow maps to one
-// RX queue, one cache signature, and one fabric path. The ingress-port
-// contribution is fixed at zero because RSS runs before the switch has
-// attributed the frame to a port, and a queue choice must not depend on
-// it. ok=false marks frames the parser rejects: they have no flow
+// simulated multi-queue ports' "hardware" does: parse, pack the header key,
+// and take the high half of its Hash64 — the half the SMC check and the ECMP
+// path pinning use, so the queue pick is independent of the EMC/SMC index.
+// The ingress-port contribution is fixed at zero because RSS runs before the
+// switch has attributed the frame to a port, and a queue choice must not
+// depend on it. ok=false marks frames the parser rejects: they have no flow
 // identity, and callers place them on queue 0. Allocates nothing.
 func RSSHash(p *pkt.Parser, frame []byte) (h uint32, ok bool) {
 	if err := p.Parse(frame); err != nil {
 		return 0, false
 	}
-	k := ExtractKey(p, 0)
-	kp := k.Pack()
+	var kp Packed
+	PackFrame(p, frame, 0, &kp)
 	return kp.Hash2(), true
 }
 

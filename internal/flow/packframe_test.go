@@ -1,0 +1,156 @@
+package flow_test
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"ovshighway/internal/flow"
+	"ovshighway/internal/pkt"
+)
+
+// seedFrames are the shapes the key path must agree on: every layer the
+// parser decodes, tagged and untagged, and an IPv4 header with options.
+func seedFrames(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	macA, macB := pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}
+	ipA, ipB := pkt.IP4{10, 1, 2, 3}, pkt.IP4{10, 99, 0, 1}
+	build := func(n int, err error, raw []byte) []byte {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return append([]byte(nil), raw[:n]...)
+	}
+	raw := make([]byte, 256)
+	udpSpec := pkt.UDPSpec{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
+		SrcPort: 5001, DstPort: 2000, FrameLen: 64}
+	n, err := pkt.BuildUDP(raw, udpSpec)
+	udp := build(n, err, raw)
+	udpSpec.VlanID, udpSpec.VlanPCP = 0x7a5, 5
+	n, err = pkt.BuildUDP(raw, udpSpec)
+	vlanUDP := build(n, err, raw)
+	n, err = pkt.BuildTCP(raw, pkt.TCPSpec{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
+		SrcPort: 40000, DstPort: 443, Flags: pkt.TCPSyn})
+	tcp := build(n, err, raw)
+	n, err = pkt.BuildARP(raw, pkt.ARPRequest, macA, ipA, pkt.MAC{}, ipB)
+	arp := build(n, err, raw)
+
+	icmp := append([]byte(nil), udp...)
+	icmp[pkt.EthernetLen+1] = 0xb8 // DSCP 46
+	icmp[pkt.EthernetLen+9] = pkt.ProtoICMP
+
+	// IHL 6: one word of options pushes the UDP header four bytes out.
+	l3 := pkt.EthernetLen
+	opts := append([]byte(nil), udp[:l3+pkt.IPv4MinLen]...)
+	opts = append(opts, 1, 1, 1, 1)
+	opts = append(opts, udp[l3+pkt.IPv4MinLen:]...)
+	opts[l3] = 0x46
+	binary.BigEndian.PutUint16(opts[l3+2:], binary.BigEndian.Uint16(udp[l3+2:])+4)
+
+	ipv6 := func(next uint8, l4 []byte) []byte {
+		f := append([]byte(nil), udp[:12]...)
+		f = append(f, 0x86, 0xdd)
+		hdr := make([]byte, pkt.IPv6Len)
+		hdr[0] = 0x60
+		binary.BigEndian.PutUint16(hdr[4:], uint16(len(l4)))
+		hdr[6], hdr[7] = next, 64
+		hdr[23], hdr[39] = 1, 2
+		return append(append(f, hdr...), l4...)
+	}
+	return map[string][]byte{
+		"udp":      udp,
+		"vlan-udp": vlanUDP,
+		"tcp":      tcp,
+		"icmp":     icmp,
+		"arp":      arp,
+		"ihl6-udp": opts,
+		"ipv6-udp": ipv6(pkt.ProtoUDP, udp[l3+pkt.IPv4MinLen:l3+pkt.IPv4MinLen+pkt.UDPLen]),
+		"ipv6-tcp": ipv6(pkt.ProtoTCP, tcp[l3+pkt.IPv4MinLen:]),
+	}
+}
+
+// checkPackFrame holds the one-pass key path to the control-plane one on a
+// single frame: same parse verdict as ever (the parser is untouched, so this
+// pins that PackFrame neither needs nor adds a length check), the same 36
+// bytes, no allocation.
+func checkPackFrame(t *testing.T, frame []byte, inPort uint32) {
+	t.Helper()
+	var p pkt.Parser
+	perr := p.Parse(frame)
+	if (perr != nil) != (len(frame) < pkt.EthernetLen) {
+		t.Fatalf("Parse(%d bytes) = %v: only a frame too short for Ethernet is a parse error", len(frame), perr)
+	}
+	k := flow.ExtractKey(&p, inPort)
+	want := k.Pack()
+	var got flow.Packed
+	got[35] = 0xff // PackFrame must overwrite, not merge
+	flow.PackFrame(&p, frame, inPort, &got)
+	if got != want {
+		t.Fatalf("PackFrame != ExtractKey().Pack() on %x (in_port %d, decoded %#x)\n got %x\nwant %x",
+			frame, inPort, p.Decoded, got, want)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		flow.PackFrame(&p, frame, inPort, &got)
+		sinkHash += got.Hash64()
+	}); n != 0 {
+		t.Fatalf("PackFrame+Hash64 allocate %v times per frame", n)
+	}
+}
+
+var sinkHash uint64
+
+// TestPackFrameSeeds runs every seed frame at every truncation length.
+func TestPackFrameSeeds(t *testing.T) {
+	for name, frame := range seedFrames(t) {
+		for cut := 0; cut <= len(frame); cut++ {
+			checkPackFrame(t, frame[:cut], 7)
+		}
+		var p pkt.Parser
+		if err := p.Parse(frame); err != nil || p.Decoded == pkt.LayerEthernet {
+			t.Errorf("seed %s decodes no further than Ethernet (%v): not the shape it is named for", name, err)
+		}
+	}
+}
+
+// Property: on a seed frame with a few bytes overwritten at random and a
+// random cut, PackFrame still equals ExtractKey().Pack().
+func TestQuickPackFrameMatchesExtractKey(t *testing.T) {
+	var seeds [][]byte
+	for _, f := range seedFrames(t) {
+		seeds = append(seeds, f)
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		frame := append([]byte(nil), seeds[rng.Intn(len(seeds))]...)
+		for n := rng.Intn(4); n > 0; n-- {
+			// The first 40 bytes hold every length and type field.
+			frame[rng.Intn(min(40, len(frame)))] = byte(rng.Intn(256))
+		}
+		if rng.Intn(2) == 0 {
+			frame = frame[:rng.Intn(len(frame)+1)]
+		}
+		checkPackFrame(t, frame, rng.Uint32())
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzPackFrame is the native fuzz target of the key path. Its seeds are
+// the shapes above plus every truncation length of the 64-byte frames.
+func FuzzPackFrame(f *testing.F) {
+	for _, frame := range seedFrames(f) {
+		f.Add(frame, uint32(1))
+		if len(frame) == 64 {
+			for cut := 0; cut < len(frame); cut++ {
+				f.Add(frame[:cut], uint32(cut))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, frame []byte, inPort uint32) {
+		checkPackFrame(t, frame, inPort)
+	})
+}

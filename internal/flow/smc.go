@@ -6,8 +6,8 @@ import "sync/atomic"
 // hierarchy, slotted between the exact-match cache and the tuple-space
 // classifier, modeled on OVS-DPDK's SMC. Where an EMC entry stores the full
 // 36-byte packed key, an SMC entry stores only hash material — a 16-bit
-// signature of the primary key hash plus an independent 32-bit secondary
-// hash — so the same memory holds several times more entries and the cache
+// signature from the low half of the 64-bit key hash plus its whole high
+// half — so the same memory holds several times more entries and the cache
 // keeps absorbing lookups long after the distinct-flow count has blown past
 // the EMC's reach. Per-PMD and single-threaded, like the EMC.
 //
@@ -46,8 +46,8 @@ type SMC struct {
 type smcEntry struct {
 	gen  uint64
 	flow *Flow
-	alt  uint32 // secondary hash (Packed.Hash2)
-	sig  uint16 // primary-hash signature (high bits, never 0)
+	alt  uint32 // high half of the key hash (Packed.Hash2)
+	sig  uint16 // signature: bits 16-31 of the low half (never 0)
 }
 
 const smcWays = 4
@@ -92,8 +92,8 @@ func (c *SMC) Lookup(kp *Packed, hash uint32, gen uint64) *Flow {
 			altDone = true
 		}
 		if e.alt != alt {
-			// Primary-signature collision caught by the secondary hash: a
-			// detected false positive of the 16-bit signature.
+			// Signature collision caught by the hash's high half: a detected
+			// false positive of the 16-bit signature.
 			c.falsePos.Add(1)
 			continue
 		}

@@ -32,6 +32,9 @@ type Deployment struct {
 	acls     map[string]*vnf.ACL      // (lazily allocated: most deployments
 	lbs      map[string]*vnf.Balancer // carry none)
 	vms      map[string][]uint32      // VM name → port ids
+	// cts holds, by VNF name, the connection tables this deployment attached
+	// to the node's switch; whoever stops the VNF detaches its table.
+	cts map[string]*conntrack.Table
 
 	// PortOf maps (VNF name, local port) to switch port ids.
 	portOf map[graph.Endpoint]uint32
@@ -260,7 +263,7 @@ func (d *Deployment) startVNF(v graph.VNF, pmds []*dpdkr.PMD) error {
 		if !ok {
 			return fmt.Errorf("nat44 %s: missing NAT44Args", v.Name)
 		}
-		ct, err := d.conntrackFor(args.Table)
+		ct, err := d.conntrackFor(v.Name, args.Table)
 		if err != nil {
 			return err
 		}
@@ -278,7 +281,7 @@ func (d *Deployment) startVNF(v graph.VNF, pmds []*dpdkr.PMD) error {
 		d.nats[v.Name] = nat
 	case graph.KindACL:
 		args, _ := v.Args.(ACLArgs)
-		ct, err := d.conntrackFor(args.Table)
+		ct, err := d.conntrackFor(v.Name, args.Table)
 		if err != nil {
 			return err
 		}
@@ -297,7 +300,7 @@ func (d *Deployment) startVNF(v graph.VNF, pmds []*dpdkr.PMD) error {
 		if !ok {
 			return fmt.Errorf("balancer %s: missing BalancerArgs", v.Name)
 		}
-		ct, err := d.conntrackFor(args.Table)
+		ct, err := d.conntrackFor(v.Name, args.Table)
 		if err != nil {
 			return err
 		}
@@ -370,12 +373,30 @@ func DefaultTrafficSpec() pkt.UDPSpec {
 // conntrackFor resolves a stateful VNF's connection table: an explicit
 // override, or a fresh per-VNF (sweeper-attached) table — per-VNF because a
 // shard admits one writer and chain stages key on different tuple spaces.
-func (d *Deployment) conntrackFor(override *conntrack.Table) (*conntrack.Table, error) {
-	if override != nil {
-		d.node.Switch.AttachConntrack(override)
-		return override, nil
+func (d *Deployment) conntrackFor(vnfName string, override *conntrack.Table) (*conntrack.Table, error) {
+	ct := override
+	if ct != nil {
+		d.node.Switch.AttachConntrack(ct)
+	} else {
+		var err error
+		if ct, err = d.node.NewConntrack(); err != nil {
+			return nil, err
+		}
 	}
-	return d.node.NewConntrack()
+	if d.cts == nil {
+		d.cts = make(map[string]*conntrack.Table)
+	}
+	d.cts[vnfName] = ct
+	return ct, nil
+}
+
+// detachConntrack releases the named VNF's connection table from the
+// switch sweeper and stats, once the VNF's app has stopped.
+func (d *Deployment) detachConntrack(vnfName string) {
+	if ct := d.cts[vnfName]; ct != nil {
+		d.node.Switch.DetachConntrack(ct)
+		delete(d.cts, vnfName)
+	}
 }
 
 // Sink returns a named sink VNF (nil if absent).
@@ -456,6 +477,9 @@ func (d *Deployment) Stop() {
 	}
 	for _, s := range d.sinks {
 		s.Stop()
+	}
+	for name := range d.cts {
+		d.detachConntrack(name)
 	}
 	for name, ids := range d.vms {
 		_ = d.node.DestroyVM(name, ids)

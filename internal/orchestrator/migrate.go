@@ -442,6 +442,7 @@ func (d *Deployment) removeVNF(name string) {
 			break
 		}
 	}
+	d.detachConntrack(name)
 	delete(d.vms, name)
 	for i := range ids {
 		delete(d.portOf, graph.VNFPort(name, i))

@@ -92,9 +92,9 @@ type Node struct {
 // connection anyway (a NAT keys on the pre-translation tuple, the balancer
 // behind it on the post-translation one) — sharing a node-wide table would
 // both break the single-writer contract and collide those key spaces.
-// Shards follow the RSS queue count so a connection's shard and its
-// receiving queue agree. Like the flow table, attached tables survive a
-// vSwitch Restart: connection state is node-local, rules are reconciled.
+// Shards follow the RSS queue count. Like the flow table, attached tables
+// survive a vSwitch Restart: connection state is node-local, rules are
+// reconciled.
 func (n *Node) NewConntrack() (*conntrack.Table, error) {
 	shards := n.cfg.NumQueues
 	if shards <= 0 {

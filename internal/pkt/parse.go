@@ -146,29 +146,3 @@ func (p *Parser) FiveTuple() (ft FiveTuple, ok bool) {
 	}
 	return ft, true
 }
-
-// Hash returns a 32-bit hash of the tuple (FNV-1a over the packed fields),
-// suitable for EMC bucketing and RSS-style spreading.
-func (ft FiveTuple) Hash() uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	mix := func(b byte) {
-		h ^= uint32(b)
-		h *= prime32
-	}
-	for _, b := range ft.Src {
-		mix(b)
-	}
-	for _, b := range ft.Dst {
-		mix(b)
-	}
-	mix(byte(ft.SrcPort >> 8))
-	mix(byte(ft.SrcPort))
-	mix(byte(ft.DstPort >> 8))
-	mix(byte(ft.DstPort))
-	mix(ft.Proto)
-	return h
-}

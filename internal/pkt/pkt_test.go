@@ -339,7 +339,7 @@ func TestIPv4SettersAndChecksum(t *testing.T) {
 	}
 }
 
-func TestFiveTupleAndHash(t *testing.T) {
+func TestFiveTuple(t *testing.T) {
 	frame := buildTestUDP(t, nil, 0)
 	var p Parser
 	if err := p.Parse(frame); err != nil {
@@ -352,14 +352,6 @@ func TestFiveTupleAndHash(t *testing.T) {
 	want := FiveTuple{Src: ipA, Dst: ipB, SrcPort: 1234, DstPort: 5678, Proto: ProtoUDP}
 	if ft != want {
 		t.Fatalf("FiveTuple = %+v, want %+v", ft, want)
-	}
-	if ft.Hash() == 0 {
-		t.Error("hash is zero (suspicious)")
-	}
-	other := want
-	other.DstPort = 5679
-	if other.Hash() == want.Hash() {
-		t.Error("adjacent tuples collide (suspicious for FNV)")
 	}
 }
 
@@ -448,13 +440,4 @@ func BenchmarkBuildUDP64B(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkFiveTupleHash(b *testing.B) {
-	ft := FiveTuple{Src: ipA, Dst: ipB, SrcPort: 1234, DstPort: 5678, Proto: ProtoUDP}
-	var acc uint32
-	for i := 0; i < b.N; i++ {
-		acc += ft.Hash()
-	}
-	_ = acc
 }

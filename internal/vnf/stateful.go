@@ -14,8 +14,8 @@ import (
 
 // The stateful VNFs below (NAT44, ACL with established bypass, L4 balancer)
 // all ride one conntrack.Table: a zero-alloc sharded connection table whose
-// shard pick reuses the datapath's Hash2, so a connection's state lives on
-// the PMD/VNF goroutine its packets arrive on. Each App is a single
+// shard pick (conntrack.HashKey) uses the datapath's seeded hash function
+// over the 5-tuple. Each App is a single
 // goroutine, satisfying the table's single-writer-per-shard contract; the
 // vSwitch sweeper expires idle entries cross-thread via death-marks.
 
@@ -101,10 +101,10 @@ type NAT44 struct {
 	lingerHead int
 	lingerLen  int
 	Bound      atomic.Uint64
-	Unbound   atomic.Uint64
-	Exhausted atomic.Uint64 // drops: port block empty or table full
-	Unsolicit atomic.Uint64 // drops: outside packet with no binding
-	Untransl  atomic.Uint64 // drops: not translatable (non-IPv4/TCP/UDP)
+	Unbound    atomic.Uint64
+	Exhausted  atomic.Uint64 // drops: port block empty or table full
+	Unsolicit  atomic.Uint64 // drops: outside packet with no binding
+	Untransl   atomic.Uint64 // drops: not translatable (non-IPv4/TCP/UDP)
 }
 
 // PortsFree returns the number of unallocated ports left in the block.
@@ -487,8 +487,8 @@ type BalancerConfig struct {
 	VIP     pkt.IP4
 	VIPPort uint16
 	// Backends are the real servers; a connection is pinned to one on its
-	// first packet by the same Hash2 the RSS/ECMP spreading uses, so the
-	// pick is stable across the connection's lifetime.
+	// first packet by conntrack.HashKey of its tuple and the pin is stored
+	// in the table, so the pick is stable across the connection's lifetime.
 	Backends []Backend
 	// Table is the conntrack table connection→backend pins live in.
 	Table *conntrack.Table

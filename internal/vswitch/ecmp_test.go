@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ovshighway/internal/flow"
+	"ovshighway/internal/flow/flowtest"
 	"ovshighway/internal/mempool"
 	"ovshighway/internal/pkt"
 )
@@ -33,8 +34,13 @@ func (e *testEnv) drainTo(id uint32, seen map[uint16]int) int {
 // TestECMPOutputPinsFlows: an output_ecmp action spreads distinct flows
 // over its parallel ports, but every packet of one flow always leaves by
 // the same port — per-flow path pinning, the property that keeps TCP-like
-// flows in order across a multi-trunk uplink.
+// flows in order across a multi-trunk uplink. It holds under every pinned
+// hash seed.
 func TestECMPOutputPinsFlows(t *testing.T) {
+	flowtest.ForEachSeed(t, testECMPOutputPinsFlows)
+}
+
+func testECMPOutputPinsFlows(t *testing.T) {
 	env := newEnv(t, Config{}, 3)
 	env.sw.Table().Add(10, flow.MatchInPort(1), flow.Actions{flow.OutputECMP(2, 3)}, 0)
 

@@ -13,13 +13,14 @@ import (
 // pktMeta is one packet's slot in the per-thread scratch array filled by the
 // parse phase of the batched pipeline. It carries everything the action
 // phase needs so the shared parser is never re-consulted per packet: the
-// packed key and its hash, the resolved flow, and the header views that
-// mutating actions write through. next chains packets of the same flow group
-// within the batch (-1 terminates).
+// packed key and its 64-bit hash (computed once per packet: the low half
+// indexes the EMC and SMC, the high half pins the ECMP path), the resolved
+// flow, and the header views that mutating actions write through. next
+// chains packets of the same flow group within the batch (-1 terminates).
 type pktMeta struct {
 	buf     *mempool.Buf
 	kp      flow.Packed
-	hash    uint32
+	hash    uint64
 	f       *flow.Flow
 	decoded pkt.Layers
 	eth     pkt.Ethernet
@@ -165,33 +166,39 @@ func (p *pmdThread) run() {
 			p.totalNanos.Add(uint64(now.Sub(lastTick)))
 		}
 		lastTick = now
-		// One atomic load yields a mutually consistent (ports, owners) pair;
-		// the embedded port set is what processBatch resolves output ports
-		// against, so a queue and its destinations always come from the same
-		// generation.
-		asg := p.s.asgSnap.Load()
-		work := false
-		for qi, q := range asg.ports.queues {
-			if asg.owner[qi] != p.idx {
-				continue
-			}
-			n := q.recv(p.rxBatch)
-			if n == 0 {
-				continue
-			}
-			work = true
-			t0 := time.Now()
-			p.processBatch(q.e.port.PortID(), p.rxBatch[:n], asg.ports)
-			busy := uint64(time.Since(t0))
-			p.busyNanos.Add(busy)
-			q.busyNanos.Add(busy)
-			q.batches.Add(1)
-			q.frames.Add(uint64(n))
-		}
-		if !work {
+		if p.poll() == 0 {
 			runtime.Gosched()
 		}
 	}
+}
+
+// poll is one loop iteration: one receive burst from every queue this
+// thread owns, each run through processBatch. It returns the frames handled.
+func (p *pmdThread) poll() int {
+	// One atomic load yields a mutually consistent (ports, owners) pair;
+	// the embedded port set is what processBatch resolves output ports
+	// against, so a queue and its destinations always come from the same
+	// generation.
+	asg := p.s.asgSnap.Load()
+	frames := 0
+	for qi, q := range asg.ports.queues {
+		if asg.owner[qi] != p.idx {
+			continue
+		}
+		n := q.recv(p.rxBatch)
+		if n == 0 {
+			continue
+		}
+		frames += n
+		t0 := time.Now()
+		p.processBatch(q.e.port.PortID(), p.rxBatch[:n], asg.ports)
+		busy := uint64(time.Since(t0))
+		p.busyNanos.Add(busy)
+		q.busyNanos.Add(busy)
+		q.batches.Add(1)
+		q.frames.Add(uint64(n))
+	}
+	return frames
 }
 
 // processBatch runs one input burst through the two-phase pipeline:
@@ -221,16 +228,17 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 	var misses, tableMisses, dedups, parseErrs uint64
 	for _, b := range bufs {
 		b.Port = inPort
-		if err := p.parser.Parse(b.Bytes()); err != nil {
+		frame := b.Bytes()
+		if err := p.parser.Parse(frame); err != nil {
 			b.Free()
 			parseErrs++
 			continue
 		}
-		key := flow.ExtractKey(&p.parser, inPort)
 		m := &p.metas[n]
 		m.buf = b
-		m.kp = key.Pack()
-		m.hash = m.kp.Hash()
+		flow.PackFrame(&p.parser, frame, inPort, &m.kp)
+		m.hash = m.kp.Hash64()
+		hash := uint32(m.hash)
 		m.decoded = p.parser.Decoded
 		m.eth = p.parser.Eth
 		m.ipv4 = p.parser.IPv4
@@ -238,7 +246,7 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 		var f *flow.Flow
 		resolved := false
 		if emcOn {
-			if f = p.emc.Lookup(m.kp, m.hash, gen); f != nil {
+			if f = p.emc.Lookup(m.kp, hash, gen); f != nil {
 				resolved = true
 			}
 		}
@@ -246,7 +254,7 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 			// SMC hits do not promote into the EMC (as in OVS-DPDK): when
 			// the flow count has outgrown the EMC, promotion would just
 			// churn its sets without raising the hit rate.
-			if f = p.smc.Lookup(&m.kp, m.hash, gen); f != nil {
+			if f = p.smc.Lookup(&m.kp, hash, gen); f != nil {
 				resolved = true
 			}
 		}
@@ -271,12 +279,12 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 					// displaces demotes into the second tier (OVS-style), so
 					// the flows the EMC can no longer hold keep resolving
 					// without another classifier walk.
-					if vk, vf, ev := p.emc.Insert(m.kp, m.hash, f, gen); ev && smcOn {
+					if vk, vf, ev := p.emc.Insert(m.kp, hash, f, gen); ev && smcOn {
 						p.smc.Insert(&vk, vk.Hash(), vf, gen)
 					}
 				}
 				if smcOn {
-					p.smc.Insert(&m.kp, m.hash, f, gen)
+					p.smc.Insert(&m.kp, hash, f, gen)
 				}
 			} else {
 				tableMisses++
@@ -474,7 +482,7 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 				}
 				st.Seen.Store(nowNano)
 			}
-			// Per-packet path pinning: the packet's secondary key hash (mixed
+			// Per-packet path pinning: the high half of the packet's key hash (mixed
 			// with its VLAN lane, present after an earlier push in this same
 			// action list) selects one of the parallel destinations, so one
 			// flow always rides one path while distinct flows spread. A
@@ -488,7 +496,7 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 				if m.buf == nil {
 					continue
 				}
-				pick := m.kp.Hash2()
+				pick := uint32(m.hash >> 32)
 				if vid, tagged := pkt.FrameVlanID(m.buf.Bytes()); tagged {
 					pick ^= uint32(vid) * 0x9e3779b9
 				}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -299,6 +300,9 @@ type Switch struct {
 	stopped  atomic.Bool
 	wg       sync.WaitGroup
 
+	// syncPMD is the caller-driven forwarding thread behind PollOnce.
+	syncPMD *pmdThread
+
 	// Restarts counts completed Restart cycles (diagnostic; chaos tests).
 	Restarts atomic.Uint64
 
@@ -351,6 +355,20 @@ func (s *Switch) AttachConntrack(t *conntrack.Table) {
 	copy(next, cur)
 	next[len(cur)] = t
 	s.conntracks.Store(&next)
+}
+
+// DetachConntrack undoes AttachConntrack: the sweeper stops visiting the
+// table, DatapathStats stops summing it, and the switch drops its reference
+// so the table's arena can be collected. Whoever attached a table detaches
+// it when the table's VNF stops. Detaching an unattached table is a no-op.
+func (s *Switch) DetachConntrack(t *conntrack.Table) {
+	s.ctMu.Lock()
+	defer s.ctMu.Unlock()
+	cur := s.ConntrackTables()
+	if i := slices.Index(cur, t); i >= 0 {
+		next := slices.Delete(slices.Clone(cur), i, i+1)
+		s.conntracks.Store(&next)
+	}
 }
 
 // ConntrackTables returns the attached connection tables (read-only snapshot).
@@ -602,6 +620,21 @@ func (s *Switch) haltLocked() {
 	s.wg.Wait()
 }
 
+// PollOnce runs one forwarding-loop iteration of PMD 0 on the calling
+// goroutine and returns the frames it handled: the whole per-hop datapath
+// with no goroutine hand-off, for single-goroutine benchmarks and tests. It
+// is only for a switch that is never started (NumPMDs 1, so PMD 0 owns
+// every queue), and only one goroutine may call it.
+func (s *Switch) PollOnce() int {
+	if s.started.Load() {
+		panic("vswitch: PollOnce on a started switch")
+	}
+	if s.syncPMD == nil {
+		s.syncPMD = newPMDThread(s, 0)
+	}
+	return s.syncPMD.poll()
+}
+
 // Start launches the PMD threads. It is an error to start twice.
 func (s *Switch) Start() error {
 	s.lifeMu.Lock()
@@ -718,9 +751,8 @@ type DatapathStats struct {
 	PMDs   []PMDLoad
 	Queues []QueueLoad
 	// Conntrack aggregates the attached connection tables' counters;
-	// ConntrackShards carries the per-shard (= per-PMD, by the Hash2
-	// alignment) split, so windowed views show where connection state
-	// actually lives.
+	// ConntrackShards carries the per-shard split, so windowed views show
+	// where connection state actually lives.
 	Conntrack       conntrack.Stats
 	ConntrackShards []conntrack.Stats
 }

@@ -72,3 +72,52 @@ func TestStatefulChainSplitLedger(t *testing.T) {
 			inFlight, sc.Sent(), sc.Received())
 	}
 }
+
+// TestStatefulChainStopDetachesConntrack: a stateful deployment's Stop gives
+// back the connection tables its VNFs attached to the node switches. After N
+// deploy/stop cycles the attached-table count and the conntrack Live gauge
+// in DatapathStats are what they were before the first deploy — stopped
+// chains are no longer swept and summed forever.
+func TestStatefulChainStopDetachesConntrack(t *testing.T) {
+	c, err := StartCluster(ClusterConfig{
+		Config: Config{Mode: ModeHighway},
+		Nodes:  []string{"node0", "node1"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+
+	attached := func() (tables int, live uint64) {
+		for _, name := range c.NodeNames() {
+			sw := c.Internal().Node(name).Switch
+			tables += len(sw.ConntrackTables())
+			live += sw.DatapathStats().Conntrack.Live
+		}
+		return tables, live
+	}
+	tables0, live0 := attached()
+
+	for cycle := 0; cycle < 3; cycle++ {
+		sc, _, err := c.DeployStatefulChain(StatefulChainOptions{Flows: 8, RatePps: 20_000, Backends: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for sc.Received() < 100 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		// NAT44, ACL and balancer each attach one table and hold live
+		// connections by now.
+		if tables, live := attached(); tables != tables0+3 || live == live0 {
+			sc.Stop()
+			t.Fatalf("cycle %d, running: %d tables attached with %d live connections, want %d tables and some connections",
+				cycle, tables, live, tables0+3)
+		}
+		sc.Stop()
+		if tables, live := attached(); tables != tables0 || live != live0 {
+			t.Fatalf("cycle %d, stopped: %d tables attached with %d live connections, want the pre-deploy %d and %d",
+				cycle, tables, live, tables0, live0)
+		}
+	}
+}
