@@ -27,13 +27,9 @@ type FabricConfig struct {
 	// Mode selects mesh (direct adjacencies) or leaf–spine (lanes between
 	// leaves relay through the spine's vSwitch).
 	Mode FabricMode
-	// Spine names the relay node in spine mode (default: the first node).
-	// Ignored when Spines is set.
-	Spine string
-	// Spines names the relay nodes of a multi-spine Clos core: each
-	// leaf–leaf lane gets one two-hop path per spine and the sender's ECMP
-	// spreads flows across all of them. Empty falls back to the single
-	// Spine.
+	// Spines names the relay nodes of a spine-mode Clos core: each leaf–leaf
+	// lane gets one two-hop path per spine and the sender's ECMP spreads
+	// flows across all of them. Empty means the cluster's first node.
 	Spines []string
 	// ECMPWidth is the number of parallel trunks per adjacency (default 1).
 	// Flows are pinned to one trunk of the bundle by their (lane, Hash2)
@@ -99,7 +95,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			Latency:    cfg.WireLatency,
 			StagingCap: cfg.Fabric.StagingCap,
 			Mode:       cfg.Fabric.Mode,
-			Spine:      cfg.Fabric.Spine,
 			Spines:     cfg.Fabric.Spines,
 			ECMPWidth:  cfg.Fabric.ECMPWidth,
 			PCPWeights: cfg.Fabric.PCPWeights,
@@ -276,22 +271,19 @@ func (d *ClusterDeployment) Migrate(vnf, node string) (MigrateReport, error) {
 // the trunk lanes its layout pays for.
 func (d *ClusterDeployment) Crossings() int { return d.inner.Crossings() }
 
-// SplitChain is a bidirectional benchmark chain deployed across cluster
-// nodes, with the same measurement hooks as Chain.
-type SplitChain struct {
-	dep      *ClusterDeployment
-	n        int
-	segments []int
-	ends     []*vnf.SrcSink
-}
-
 // DeploySplitChain deploys the Figure 3(a) bidirectional chain of n
 // forwarder VMs with its VM sequence placed across the given nodes in
 // contiguous, evenly-sized segments (nil nodes = all cluster nodes in
 // order). It mirrors Node.DeployBidirChain: the paper's x-axis VM count is
 // n+2, and in highway mode every intra-node hop still becomes a bypass —
 // only the len(nodes)-1 wire hops stay on the NIC path.
-func (c *Cluster) DeploySplitChain(n int, nodes []string, opts ChainOptions) (*SplitChain, error) {
+func (c *Cluster) DeploySplitChain(n int, nodes []string, opts ChainOptions) (*Chain, error) {
+	return c.deploySplitChain("", n, nodes, opts)
+}
+
+// deploySplitChain is DeploySplitChain with every VNF name prefixed, so
+// several chain instances can share one cluster.
+func (c *Cluster) deploySplitChain(prefix string, n int, nodes []string, opts ChainOptions) (*Chain, error) {
 	if len(nodes) == 0 {
 		nodes = c.NodeNames()
 	}
@@ -300,171 +292,34 @@ func (c *Cluster) DeploySplitChain(n int, nodes []string, opts ChainOptions) (*S
 	}
 	g := graph.SplitBidirChain(n, nodes)
 	applyBidirEndpointArgs(g, opts)
+	// Segment sizes come from the placement the graph actually got, so they
+	// can never drift from SplitBidirChain's layout.
+	counts := make(map[string]int, len(nodes))
+	for i := range g.VNFs {
+		counts[g.VNFs[i].Node]++
+		g.VNFs[i].Name = prefix + g.VNFs[i].Name
+	}
+	for i := range g.Edges { // a split chain has VNF endpoints only
+		g.Edges[i].A.Name = prefix + g.Edges[i].A.Name
+		g.Edges[i].B.Name = prefix + g.Edges[i].B.Name
+	}
 	dep, err := c.Deploy(g)
 	if err != nil {
 		return nil, err
 	}
-	sc := &SplitChain{dep: dep, n: n}
-	// Derive the segment sizes from the placement the graph actually got,
-	// so ExpectedBypasses can never drift from SplitBidirChain's layout.
-	counts := make(map[string]int, len(nodes))
-	for _, v := range g.VNFs {
-		counts[v.Node]++
-	}
+	sc := &Chain{host: c, cdep: dep, n: n, hops: n + 1}
 	for _, name := range nodes {
 		if k := counts[name]; k > 0 {
 			sc.segments = append(sc.segments, k)
 		}
 	}
-	for _, name := range []string{"end0", "end1"} {
-		ss := dep.inner.SrcSink(name)
-		if ss == nil {
-			dep.Stop()
-			return nil, fmt.Errorf("splitchain: endpoint %s missing after deploy", name)
-		}
-		sc.ends = append(sc.ends, ss)
+	end0, end1 := dep.inner.SrcSink(prefix+"end0"), dep.inner.SrcSink(prefix+"end1")
+	if end0 == nil || end1 == nil {
+		dep.Stop()
+		return nil, fmt.Errorf("splitchain: endpoints missing after deploy")
 	}
+	sc.setEnds(end0, end1)
 	return sc, nil
-}
-
-// Stop tears the chain down across all nodes.
-func (c *SplitChain) Stop() { c.dep.Stop() }
-
-// Deployment exposes the chain's underlying cluster deployment, for
-// reconcile and migration calls against a benchmark chain.
-func (c *SplitChain) Deployment() *ClusterDeployment { return c.dep }
-
-// Pause stops (or resumes) packet generation at both chain ends. Reception
-// keeps running, so a paused chain drains: in-flight packets land and the
-// conservation ledger settles.
-func (c *SplitChain) Pause(p bool) {
-	for _, e := range c.ends {
-		e.SetPaused(p)
-	}
-}
-
-// InFlight returns generated-minus-received summed over both ends — the
-// number of packets currently somewhere inside the cluster. On a paced
-// chain this is an exact ledger; after Pause+Settle a nonzero delta across
-// an operation means packets were lost.
-func (c *SplitChain) InFlight() int64 {
-	var total int64
-	for _, e := range c.ends {
-		total += e.InFlight()
-	}
-	return total
-}
-
-// Settle pauses nothing but waits (bounded by timeout) for the chain's
-// sent/received ledger to stop moving — a sustained run of identical
-// observations, not just two, since a packet parked behind a stalled
-// thread moves no counter for a while — then returns InFlight. Call after
-// Pause(true) to let residual in-flight packets land.
-func (c *SplitChain) Settle(timeout time.Duration) int64 {
-	ledger := func() uint64 {
-		var v uint64
-		for _, e := range c.ends {
-			v += e.Sent.Load() + e.Received.Load()
-		}
-		return v
-	}
-	deadline := time.Now().Add(timeout)
-	prev := ledger()
-	stable := 0
-	for time.Now().Before(deadline) && stable < 8 {
-		time.Sleep(5 * time.Millisecond)
-		cur := ledger()
-		if cur == prev {
-			stable++
-		} else {
-			stable = 0
-			prev = cur
-		}
-	}
-	return c.InFlight()
-}
-
-// Length returns the number of forwarder VMs.
-func (c *SplitChain) Length() int { return c.n }
-
-// Segments returns the number of chain VMs placed on each node, in node
-// order.
-func (c *SplitChain) Segments() []int { return append([]int(nil), c.segments...) }
-
-// ResetWindow zeroes all measurement counters.
-func (c *SplitChain) ResetWindow() {
-	for _, e := range c.ends {
-		e.ResetWindow()
-	}
-}
-
-// RatePps returns the aggregate receive rate of both chain ends.
-func (c *SplitChain) RatePps() float64 {
-	var total float64
-	for _, e := range c.ends {
-		total += e.RatePps()
-	}
-	return total
-}
-
-// MeasureMpps runs a fresh measurement window and returns the aggregate
-// throughput in Mpps.
-func (c *SplitChain) MeasureMpps(window time.Duration) float64 {
-	c.ResetWindow()
-	time.Sleep(window)
-	return c.RatePps() / 1e6
-}
-
-// LatencyQuantile returns the q-quantile of one-way latency across both
-// directions. Only meaningful for chains deployed with Timestamp: true;
-// timestamps survive the trunk hop (the pump copies them across pools).
-func (c *SplitChain) LatencyQuantile(q float64) time.Duration {
-	var worst time.Duration
-	for _, e := range c.ends {
-		if v := e.Lat.Quantile(q); v > worst {
-			worst = v
-		}
-	}
-	return worst
-}
-
-// LatencyMean returns the mean one-way latency across both directions.
-func (c *SplitChain) LatencyMean() time.Duration {
-	var sum time.Duration
-	var n int
-	for _, e := range c.ends {
-		if e.Lat.Count() > 0 {
-			sum += e.Lat.Mean()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / time.Duration(n)
-}
-
-// LatencySamples returns the number of recorded latency samples.
-func (c *SplitChain) LatencySamples() uint64 {
-	var total uint64
-	for _, e := range c.ends {
-		total += e.Lat.Count()
-	}
-	return total
-}
-
-// ExpectedBypasses returns the number of directed bypass links a highway
-// cluster should establish for this chain: every intra-node VM↔VM hop in
-// both directions. A segment of k VMs contributes k-1 hops; the trunk hops
-// between segments cannot bypass.
-func (c *SplitChain) ExpectedBypasses() int {
-	hops := 0
-	for _, k := range c.segments {
-		if k > 1 {
-			hops += k - 1
-		}
-	}
-	return 2 * hops
 }
 
 // StatefulChainOptions parametrizes DeployStatefulChain. Zero values take
@@ -488,12 +343,11 @@ type StatefulChainOptions struct {
 // the conservation ledger is exact: after Pause and Settle, every packet
 // the source sent must have landed in the sink.
 type StatefulChain struct {
-	dep  *ClusterDeployment
-	src  *vnf.Source
-	sink *vnf.Sink
-	nat  *vnf.NAT44
-	acl  *vnf.ACL
-	lb   *vnf.Balancer
+	Ledger
+	dep *ClusterDeployment
+	nat *vnf.NAT44
+	acl *vnf.ACL
+	lb  *vnf.Balancer
 }
 
 // DeployStatefulChain builds and deploys the NAT44→ACL→balancer chain via
@@ -554,19 +408,17 @@ func (c *Cluster) DeployStatefulChain(opts StatefulChainOptions) (*StatefulChain
 		return nil, 0, err
 	}
 	sc := &StatefulChain{
-		dep:  dep,
-		sink: dep.inner.Sink("server"),
-		nat:  dep.inner.NAT44("nat"),
-		acl:  dep.inner.ACL("acl"),
-		lb:   dep.inner.Balancer("lb"),
+		dep: dep,
+		nat: dep.inner.NAT44("nat"),
+		acl: dep.inner.ACL("acl"),
+		lb:  dep.inner.Balancer("lb"),
 	}
-	if srcs := dep.inner.Sources(); len(srcs) == 1 {
-		sc.src = srcs[0]
-	}
-	if sc.src == nil || sc.sink == nil || sc.nat == nil || sc.acl == nil || sc.lb == nil {
+	srcs, sink := dep.inner.Sources(), dep.inner.Sink("server")
+	if len(srcs) != 1 || sink == nil || sc.nat == nil || sc.acl == nil || sc.lb == nil {
 		dep.Stop()
 		return nil, 0, fmt.Errorf("statefulchain: VNF handles missing after deploy")
 	}
+	sc.Ledger = Ledger{pause: srcs[0].SetPaused, sent: srcs[0].Sent.Load, received: sink.Received.Load}
 	return sc, crossings, nil
 }
 
@@ -584,40 +436,3 @@ func (sc *StatefulChain) ACL() *vnf.ACL { return sc.acl }
 
 // Balancer returns the chain's L4 balancer handle.
 func (sc *StatefulChain) Balancer() *vnf.Balancer { return sc.lb }
-
-// Sent returns the number of packets the client source generated.
-func (sc *StatefulChain) Sent() uint64 { return sc.src.Sent.Load() }
-
-// Received returns the number of packets the server sink absorbed.
-func (sc *StatefulChain) Received() uint64 { return sc.sink.Received.Load() }
-
-// Pause stops (or resumes) client generation; the rest of the chain keeps
-// forwarding, so in-flight packets drain toward the sink.
-func (sc *StatefulChain) Pause(p bool) { sc.src.SetPaused(p) }
-
-// InFlight returns sent-minus-received: packets currently inside the chain.
-// After Pause+Settle a nonzero value means packets were lost.
-func (sc *StatefulChain) InFlight() int64 {
-	return int64(sc.Sent()) - int64(sc.Received())
-}
-
-// Settle waits (bounded by timeout) for the chain's ledger to stop moving —
-// a sustained run of identical observations — then returns InFlight. Call
-// after Pause(true).
-func (sc *StatefulChain) Settle(timeout time.Duration) int64 {
-	ledger := func() uint64 { return sc.Sent() + sc.Received() }
-	deadline := time.Now().Add(timeout)
-	prev := ledger()
-	stable := 0
-	for time.Now().Before(deadline) && stable < 8 {
-		time.Sleep(5 * time.Millisecond)
-		cur := ledger()
-		if cur == prev {
-			stable++
-		} else {
-			stable = 0
-			prev = cur
-		}
-	}
-	return sc.InFlight()
-}

@@ -49,20 +49,14 @@ func TestSplitChainPublicAPIBothModes(t *testing.T) {
 			chain.ResetWindow()
 			deadline := time.Now().Add(5 * time.Second)
 			delivered := func() bool {
-				for _, name := range []string{"end0", "end1"} {
-					if chain.dep.inner.SrcSink(name).Received.Load() < 1000 {
-						return false
-					}
-				}
-				return true
+				return chain.ends[0].Received.Load() >= 1000 && chain.ends[1].Received.Load() >= 1000
 			}
 			for !delivered() && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
 			if !delivered() {
 				t.Fatalf("split chain moved no traffic (end0=%d end1=%d received)",
-					chain.dep.inner.SrcSink("end0").Received.Load(),
-					chain.dep.inner.SrcSink("end1").Received.Load())
+					chain.ends[0].Received.Load(), chain.ends[1].Received.Load())
 			}
 		})
 	}
@@ -72,6 +66,9 @@ func TestSplitChainHighwayNotSlowerThanVanilla(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparative throughput needs a real measurement window")
 	}
+	// Best of three alternating windows per mode: the host is shared with
+	// every other package's busy-poll loops, and interference only subtracts
+	// from a window (bench/README.md's upper-envelope argument).
 	measure := func(mode Mode) float64 {
 		c := startCluster(t, mode)
 		defer c.Stop()
@@ -80,14 +77,19 @@ func TestSplitChainHighwayNotSlowerThanVanilla(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer chain.Stop()
-		if mode == ModeHighway && !c.WaitBypasses(chain.ExpectedBypasses()) {
-			t.Fatalf("bypasses = %d, want %d", c.BypassCount(), chain.ExpectedBypasses())
+		w, err := chain.Measure(200*time.Millisecond, 500*time.Millisecond)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
 		}
-		time.Sleep(200 * time.Millisecond)
-		return chain.MeasureMpps(500 * time.Millisecond)
+		return w.Mpps
 	}
-	vanilla := measure(ModeVanilla)
-	hw := measure(ModeHighway)
+	best := map[Mode]float64{}
+	for round := 0; round < 3; round++ {
+		for _, mode := range []Mode{ModeVanilla, ModeHighway} {
+			best[mode] = max(best[mode], measure(mode))
+		}
+	}
+	vanilla, hw := best[ModeVanilla], best[ModeHighway]
 	t.Logf("split chain: vanilla %.3f Mpps, highway %.3f Mpps", vanilla, hw)
 	if hw < vanilla {
 		t.Fatalf("highway (%.3f Mpps) slower than vanilla (%.3f Mpps) on the split chain", hw, vanilla)

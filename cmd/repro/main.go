@@ -86,17 +86,23 @@ func main() {
 	}
 }
 
+// bothModes measures one point on the vanilla and then the highway datapath.
+func bothModes(run func(highway.Mode) (highway.ChainRow, error)) (v, h highway.ChainRow, err error) {
+	if v, err = run(highway.ModeVanilla); err == nil {
+		h, err = run(highway.ModeHighway)
+	}
+	return v, h, err
+}
+
 // check is the fast pass/fail regression gate for the paper's headline
 // claim: highway strictly beats vanilla, and the gap widens with chain
 // length. It measures two Figure 3(a) points instead of the full sweep.
 func check(cfg highway.ExperimentConfig) error {
 	fmt.Println("=== Check: highway ≫ vanilla, gap widening with chain length ===")
 	speedup := func(vms int) (float64, error) {
-		v, err := highway.RunFig3aPoint(vms, highway.ModeVanilla, cfg)
-		if err != nil {
-			return 0, err
-		}
-		h, err := highway.RunFig3aPoint(vms, highway.ModeHighway, cfg)
+		v, h, err := bothModes(func(mode highway.Mode) (highway.ChainRow, error) {
+			return highway.RunFig3aPoint(vms, mode, cfg)
+		})
 		if err != nil {
 			return 0, err
 		}
@@ -156,14 +162,7 @@ func fabric(cfg highway.ExperimentConfig) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%8s %10.3f   ", r.Topology, r.Mpps)
-		for i, p := range r.Paths {
-			if i > 0 {
-				fmt.Print("  ")
-			}
-			fmt.Printf("%s:%d/%d", p.Name, p.Carried, p.Dropped)
-		}
-		fmt.Println()
+		fmt.Printf("%8s %10.3f   %s\n", fmt.Sprintf("ecmp×%d", width), r.Mpps, pathList(r.Paths))
 	}
 
 	// Arm 2: mesh vs spine latency. The leaf–leaf lane relays through the
@@ -180,7 +179,7 @@ func fabric(cfg highway.ExperimentConfig) error {
 			return err
 		}
 		fmt.Printf("%8s %10.3f %12v %12v %8d\n",
-			r.Topology, r.Mpps, r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond), len(r.Paths))
+			mode, r.Mpps, r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond), len(r.Paths))
 	}
 
 	// Arm 3: PCP-weighted lane QoS. Two chains saturate one shared trunk
@@ -204,28 +203,21 @@ func incast(cfg highway.ExperimentConfig) error {
 	fmt.Println("     leaves; the measured leaf–leaf chain ECMPs over both spine paths and")
 	fmt.Println("     the adaptive arm must shift it onto the quiet spine at flowlet gaps)")
 	const perTrunkRate = 100_000.0
-	rows, err := highway.RunIncast(perTrunkRate, cfg)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%10s %10s %12s %12s %9s   %s\n",
 		"arm", "Mpps", "p50", "p99", "repicks", "per-path carried/dropped (both directions)")
-	for _, r := range rows {
-		fmt.Printf("%10s %10.3f %12v %12v %9d   ",
-			r.Arm, r.Mpps, r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond), r.Repicks)
-		for i, p := range r.Paths {
-			if i > 0 {
-				fmt.Print("  ")
-			}
-			fmt.Printf("%s:%d/%d", p.Name, p.Carried, p.Dropped)
+	var rows [2]highway.ChainRow // static, adaptive
+	for i, arm := range []string{"static", "adaptive"} {
+		r, err := highway.RunIncastPoint(i == 1, perTrunkRate, cfg)
+		if err != nil {
+			return fmt.Errorf("%s arm: %w", arm, err)
 		}
-		fmt.Println()
+		fmt.Printf("%10s %10.3f %12v %12v %9d   %s\n",
+			arm, r.Mpps, r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond), r.Repicks, pathList(r.Paths))
+		rows[i] = r
 	}
-	if len(rows) == 2 {
-		st, ad := rows[0], rows[1]
-		fmt.Printf("adaptive vs static: p99 %v → %v, %.3f → %.3f Mpps, %d repicks\n",
-			st.P99.Round(time.Microsecond), ad.P99.Round(time.Microsecond), st.Mpps, ad.Mpps, ad.Repicks)
-	}
+	st, ad := rows[0], rows[1]
+	fmt.Printf("adaptive vs static: p99 %v → %v, %.3f → %.3f Mpps, %d repicks\n",
+		st.P99.Round(time.Microsecond), ad.P99.Round(time.Microsecond), st.Mpps, ad.Mpps, ad.Repicks)
 	fmt.Println()
 	return nil
 }
@@ -275,6 +267,15 @@ func flowscale(cfg highway.ExperimentConfig) error {
 	}
 	fmt.Println()
 	return nil
+}
+
+// pathList renders per-trunk window deltas as "name:carried/dropped  ...".
+func pathList(paths []highway.PathDelta) string {
+	cells := make([]string, len(paths))
+	for i, p := range paths {
+		cells[i] = fmt.Sprintf("%s:%d/%d", p.Name, p.Carried, p.Dropped)
+	}
+	return strings.Join(cells, "  ")
 }
 
 // busyList renders per-PMD busy fractions as "53%/2%/..." for table cells.
@@ -423,32 +424,20 @@ func conntrackScale(cfg highway.ExperimentConfig) error {
 func fig3a(cfg highway.ExperimentConfig) error {
 	fmt.Println("=== Figure 3(a): memory-only chains, bidirectional 64B traffic ===")
 	fmt.Println("    (paper: log-scale Mpps, 2..8 VMs; vanilla decays, highway stays high)")
-	fmt.Printf("%8s %22s %22s %8s\n", "# VMs", "vanilla OvS-DPDK [Mpps]", "our approach [Mpps]", "speedup")
-	for vms := 2; vms <= 8; vms++ {
-		v, err := highway.RunFig3aPoint(vms, highway.ModeVanilla, cfg)
-		if err != nil {
-			return err
-		}
-		h, err := highway.RunFig3aPoint(vms, highway.ModeHighway, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%8d %22.3f %22.3f %7.2fx\n", vms, v.Mpps, h.Mpps, h.Mpps/v.Mpps)
-	}
-	fmt.Println()
-	return nil
+	return figure3(2, highway.RunFig3aPoint, cfg)
 }
 
 func fig3b(cfg highway.ExperimentConfig) error {
 	fmt.Println("=== Figure 3(b): chains behind two 10G NICs (14.88 Mpps line rate each) ===")
 	fmt.Println("    (paper: 4..20 Mpps linear scale, 1..8 VMs)")
+	return figure3(1, highway.RunFig3bPoint, cfg)
+}
+
+// figure3 prints one Figure 3 throughput table for chains of minVMs..8 VMs.
+func figure3(minVMs int, point func(int, highway.Mode, highway.ExperimentConfig) (highway.ChainRow, error), cfg highway.ExperimentConfig) error {
 	fmt.Printf("%8s %22s %22s %8s\n", "# VMs", "vanilla OvS-DPDK [Mpps]", "our approach [Mpps]", "speedup")
-	for vms := 1; vms <= 8; vms++ {
-		v, err := highway.RunFig3bPoint(vms, highway.ModeVanilla, cfg)
-		if err != nil {
-			return err
-		}
-		h, err := highway.RunFig3bPoint(vms, highway.ModeHighway, cfg)
+	for vms := minVMs; vms <= 8; vms++ {
+		v, h, err := bothModes(func(mode highway.Mode) (highway.ChainRow, error) { return point(vms, mode, cfg) })
 		if err != nil {
 			return err
 		}
@@ -467,11 +456,9 @@ func wlatency(cfg highway.ExperimentConfig) error {
 		"wire delay", "vanilla p50", "highway p50", "vanilla p99", "highway p99",
 		"van Mpps", "hw Mpps")
 	for _, lat := range []time.Duration{0, 50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond} {
-		v, err := highway.RunWireLatencyPoint(vms, lat, highway.ModeVanilla, cfg)
-		if err != nil {
-			return err
-		}
-		h, err := highway.RunWireLatencyPoint(vms, lat, highway.ModeHighway, cfg)
+		v, h, err := bothModes(func(mode highway.Mode) (highway.ChainRow, error) {
+			return highway.RunWireLatencyPoint(vms, lat, mode, cfg)
+		})
 		if err != nil {
 			return err
 		}
@@ -490,11 +477,9 @@ func multinode(cfg highway.ExperimentConfig) error {
 	fmt.Printf("%8s %9s %22s %22s %8s %9s\n",
 		"# VMs", "split", "vanilla cluster [Mpps]", "highway cluster [Mpps]", "speedup", "bypasses")
 	for vms := 3; vms <= 8; vms++ {
-		v, err := highway.RunMultiNodePoint(vms, highway.ModeVanilla, cfg)
-		if err != nil {
-			return err
-		}
-		h, err := highway.RunMultiNodePoint(vms, highway.ModeHighway, cfg)
+		v, h, err := bothModes(func(mode highway.Mode) (highway.ChainRow, error) {
+			return highway.RunMultiNodePoint(vms, mode, cfg)
+		})
 		if err != nil {
 			return err
 		}
@@ -511,11 +496,9 @@ func latency(cfg highway.ExperimentConfig) error {
 	fmt.Printf("%8s %14s %14s %14s %14s %12s\n",
 		"# VMs", "vanilla p50", "highway p50", "vanilla p99", "highway p99", "p50 improv")
 	for _, vms := range []int{2, 3, 4, 5, 6, 7, 8} {
-		v, err := highway.RunLatencyPoint(vms, highway.ModeVanilla, cfg)
-		if err != nil {
-			return err
-		}
-		h, err := highway.RunLatencyPoint(vms, highway.ModeHighway, cfg)
+		v, h, err := bothModes(func(mode highway.Mode) (highway.ChainRow, error) {
+			return highway.RunLatencyPoint(vms, mode, cfg)
+		})
 		if err != nil {
 			return err
 		}

@@ -32,17 +32,17 @@ func measure(mode highway.Mode) float64 {
 
 	seg := chain.Segments()
 	fmt.Printf("  placement: %d VMs on node-a, %d on node-b (1 trunk lane)\n", seg[0], seg[1])
-	if mode == highway.ModeHighway {
-		if !cluster.WaitBypasses(chain.ExpectedBypasses()) {
-			log.Fatalf("bypasses not established (%d live, want %d)",
-				cluster.BypassCount(), chain.ExpectedBypasses())
-		}
-		fmt.Printf("  %d direct VM-to-VM channels up (node-a: %d, node-b: %d)\n",
-			cluster.BypassCount(),
-			cluster.NodeBypassCount("node-a"), cluster.NodeBypassCount("node-b"))
+	// Measure waits for the highway to come up, warms up, then reads one
+	// measurement window.
+	w, err := chain.Measure(200*time.Millisecond, 500*time.Millisecond)
+	if err != nil {
+		log.Fatal(err)
 	}
-	time.Sleep(200 * time.Millisecond) // warm up
-	return chain.MeasureMpps(500 * time.Millisecond)
+	if mode == highway.ModeHighway {
+		fmt.Printf("  %d direct VM-to-VM channels up (node-a: %d, node-b: %d)\n",
+			w.Bypasses, cluster.NodeBypassCount("node-a"), cluster.NodeBypassCount("node-b"))
+	}
+	return w.Mpps
 }
 
 func main() {

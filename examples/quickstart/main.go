@@ -25,14 +25,16 @@ func measure(mode highway.Mode) float64 {
 	}
 	defer chain.Stop()
 
-	if mode == highway.ModeHighway {
-		if !node.WaitBypasses(chain.ExpectedBypasses()) {
-			log.Fatalf("bypasses not established (%d live)", node.BypassCount())
-		}
-		fmt.Printf("  %d direct VM-to-VM channels established\n", node.BypassCount())
+	// Measure waits for the highway to come up, warms up, then reads one
+	// measurement window.
+	w, err := chain.Measure(200*time.Millisecond, 500*time.Millisecond)
+	if err != nil {
+		log.Fatal(err)
 	}
-	time.Sleep(200 * time.Millisecond) // warm up
-	return chain.MeasureMpps(500 * time.Millisecond)
+	if mode == highway.ModeHighway {
+		fmt.Printf("  %d direct VM-to-VM channels established\n", w.Bypasses)
+	}
+	return w.Mpps
 }
 
 func main() {

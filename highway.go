@@ -15,8 +15,8 @@
 //	defer node.Stop()
 //	chain, _ := node.DeployBidirChain(3, highway.ChainOptions{})
 //	defer chain.Stop()
-//	node.WaitBypasses(8)                  // 4 hops × 2 directions
-//	mpps := chain.MeasureMpps(time.Second)
+//	w, _ := chain.Measure(200*time.Millisecond, time.Second) // waits for the 8 bypasses first
+//	fmt.Println(w.Mpps)
 package highway
 
 import (

@@ -157,7 +157,10 @@ func TestGeneratorAndWireSink(t *testing.T) {
 	if sink.RatePps() <= 0 {
 		t.Fatal("sink rate not positive")
 	}
-	// Frames are minimum-size and parseable.
+	// Quiesce both ends before checking the reset: a running sink would
+	// count frames still queued on the wire right after the counters zero.
+	gen.Stop()
+	sink.Stop()
 	sink.ResetWindow()
 	if sink.Received.Load() != 0 {
 		t.Fatal("window reset failed")

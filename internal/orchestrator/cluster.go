@@ -60,14 +60,11 @@ type TrunkConfig struct {
 	StagingCap int
 	// Mode selects the core topology (mesh or leaf–spine).
 	Mode FabricMode
-	// Spine names the relay node in FabricSpine mode (default: the
-	// cluster's first node). Ignored when Spines is set.
-	Spine string
 	// Spines names the relay nodes of a k-spine Clos core: every leaf–leaf
 	// crossing gets one two-hop path PER SPINE and the sender's ECMP spreads
 	// flows across all of them (spines × bundle width, capped at
-	// flow.MaxECMPPorts fan-out ports). Empty falls back to the single
-	// Spine. Crossings that touch a spine themselves stay single-hop.
+	// flow.MaxECMPPorts fan-out ports). Empty means the cluster's first
+	// node. Crossings that touch a spine themselves stay single-hop.
 	Spines []string
 	// ECMPWidth is the number of parallel trunks per adjacency (default 1,
 	// max flow.MaxECMPPorts). Each flow is pinned to one trunk of the
@@ -108,7 +105,6 @@ func (tc TrunkConfig) equal(o TrunkConfig) bool {
 		tc.QueueSize == o.QueueSize &&
 		tc.StagingCap == o.StagingCap &&
 		tc.Mode == o.Mode &&
-		tc.Spine == o.Spine &&
 		tc.ECMPWidth == o.ECMPWidth &&
 		tc.PCPWeights == o.PCPWeights
 }
@@ -480,20 +476,15 @@ func (c *Cluster) nicNodes() map[string]string {
 	return out
 }
 
-// spineNodes resolves the relay nodes for spine-mode routing: the k-spine
-// Spines list when set, else the single Spine (defaulting to the cluster's
-// first node). Nil in mesh mode.
+// spineNodes resolves the relay nodes for spine-mode routing: the Spines
+// list, defaulting to the cluster's first node. Nil in mesh mode.
 func (c *Cluster) spineNodes(tcfg TrunkConfig) ([]string, error) {
 	if tcfg.Mode != FabricSpine {
 		return nil, nil
 	}
 	spines := tcfg.Spines
 	if len(spines) == 0 {
-		spine := tcfg.Spine
-		if spine == "" {
-			spine = c.order[0]
-		}
-		spines = []string{spine}
+		spines = []string{c.order[0]}
 	}
 	seen := make(map[string]bool, len(spines))
 	for _, s := range spines {
@@ -742,8 +733,16 @@ func (c *Cluster) releaseLane(pair pairKey, vid uint16) {
 	// poller detaches them within two iterations) and detach the NICs
 	// before unlocking.
 	delete(c.trunks, pair)
+	var dead []*trunkLink
 	for _, tl := range ct.links {
+		if tl.failed {
+			// FailTrunk/FailNode already dismantled this link and own its
+			// drain, which may still be running: the NIC queues are
+			// single-consumer, so a second drain would free buffers twice.
+			continue
+		}
 		c.dismantleLinkLocked(pair, tl)
+		dead = append(dead, tl)
 	}
 	if len(c.trunks) == 0 && c.poller != nil {
 		// Symmetric with the lazy create in ensureTrunk: the last trunk
@@ -755,7 +754,7 @@ func (c *Cluster) releaseLane(pair pairKey, vid uint16) {
 	}
 	c.mu.Unlock()
 
-	for _, tl := range ct.links {
+	for _, tl := range dead {
 		c.drainDeadLink(pair, tl)
 	}
 }

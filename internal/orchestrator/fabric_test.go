@@ -104,7 +104,7 @@ func TestClusterECMPPathPinningAndRebalance(t *testing.T) {
 func TestClusterSpineRelay(t *testing.T) {
 	c := newCluster(t, ModeVanilla, "spine", "leaf-a", "leaf-b")
 	g := graph.SplitBidirChain(1, []string{"leaf-a", "leaf-b"})
-	cd, err := c.Deploy(g, TrunkConfig{RatePps: -1, Mode: FabricSpine, Spine: "spine"})
+	cd, err := c.Deploy(g, TrunkConfig{RatePps: -1, Mode: FabricSpine, Spines: []string{"spine"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestClusterSpineRelay(t *testing.T) {
 func TestClusterSpineEndpointStaysSingleHop(t *testing.T) {
 	c := newCluster(t, ModeVanilla, "spine", "leaf-a")
 	g := graph.SplitBidirChain(1, []string{"spine", "leaf-a"})
-	cd, err := c.Deploy(g, TrunkConfig{RatePps: -1, Mode: FabricSpine, Spine: "spine"})
+	cd, err := c.Deploy(g, TrunkConfig{RatePps: -1, Mode: FabricSpine, Spines: []string{"spine"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,6 +305,17 @@ func (cd *ClusterDeployment) Migrate(vnfName, target string) (MigrateReport, err
 			}
 		}
 	}
+	// The replica's ports and any new trunk NICs were added above; a PMD
+	// iteration that began before that still forwards against its older
+	// port snapshot, and a rule naming a port it cannot see outputs to
+	// nowhere — the burst in its hands would be freed, uncounted. Let the
+	// forwarding threads of every node about to receive rules pick up the
+	// new ports first.
+	for _, node := range c.order {
+		if len(freshByNode[node])+len(flipByNode[node]) > 0 {
+			c.nodes[node].Switch.WaitDatapathQuiescence()
+		}
+	}
 	for node, ss := range freshByNode {
 		c.nodes[node].Switch.Table().AddBatch(ss)
 	}

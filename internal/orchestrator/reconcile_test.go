@@ -36,7 +36,7 @@ func reconcileUntilClean(t *testing.T, c *Cluster) int {
 func TestNodeLoadsExcludesSpineRelayTraffic(t *testing.T) {
 	c := newCluster(t, ModeVanilla, "spine", "leaf-a", "leaf-b")
 	g := graph.SplitBidirChain(1, []string{"leaf-a", "leaf-b"})
-	cd, err := c.Deploy(g, TrunkConfig{RatePps: -1, Mode: FabricSpine, Spine: "spine"})
+	cd, err := c.Deploy(g, TrunkConfig{RatePps: -1, Mode: FabricSpine, Spines: []string{"spine"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -24,23 +25,8 @@ func bucketFor(d time.Duration) int {
 	if ns <= 0 {
 		return 0
 	}
-	b := 63 - leadingZeros64(uint64(ns))
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
-}
-
-func leadingZeros64(v uint64) int {
-	n := 0
-	if v == 0 {
-		return 64
-	}
-	for v&(1<<63) == 0 {
-		v <<= 1
-		n++
-	}
-	return n
+	// Len64 ≤ 63 for a positive int64, so the index stays inside histBuckets.
+	return bits.Len64(uint64(ns)) - 1
 }
 
 // Observe records one latency sample.

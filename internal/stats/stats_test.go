@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -85,6 +86,25 @@ func TestHistBucketEdges(t *testing.T) {
 	// Quantile of the huge sample must not overflow into nonsense.
 	if q := h.Quantile(1.0); q <= 0 {
 		t.Fatalf("q100 = %v", q)
+	}
+}
+
+// TestBucketForBoundaries pins the log₂ bucket index at every edge: bucket
+// k holds [2ᵏ, 2ᵏ⁺¹) ns, non-positive durations clamp to bucket 0, and the
+// largest Duration lands in bucket 62, inside the array.
+func TestBucketForBoundaries(t *testing.T) {
+	cases := map[time.Duration]int{
+		-time.Second: 0, 0: 0, 1: 0, 2: 1, 3: 1, 4: 2,
+		math.MaxInt64: histBuckets - 2,
+	}
+	for k := 3; k < 63; k++ {
+		cases[time.Duration(1)<<k-1] = k - 1
+		cases[time.Duration(1)<<k] = k
+	}
+	for d, want := range cases {
+		if got := bucketFor(d); got != want {
+			t.Errorf("bucketFor(%d ns) = %d, want %d", d.Nanoseconds(), got, want)
+		}
 	}
 }
 

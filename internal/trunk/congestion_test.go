@@ -196,26 +196,26 @@ func TestTrunkPCPStatsSumAcrossBundle(t *testing.T) {
 				}
 			}
 		}()
-		for _, pcp := range pcps {
-			frame := pcpFrame(t, 7, pcp)
-			senders.Add(1)
-			go func() { // one priority class's sender
-				defer senders.Done()
-				for n := 0; n < perSender; {
-					b, err := e.poolA.Get()
-					if err != nil {
-						time.Sleep(50 * time.Microsecond)
-						continue
-					}
-					if b.SetBytes(frame) != nil || e.nicA.Send([]*mempool.Buf{b}) != 1 {
-						b.Free()
-						continue
-					}
-					sent.Add(1)
-					n++
+		// One sender per NIC — nic.Send's TX queue is single-producer —
+		// interleaving the two priority classes frame by frame.
+		frames := [][]byte{pcpFrame(t, 7, pcps[0]), pcpFrame(t, 7, pcps[1])}
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for n := 0; n < perSender*len(frames); {
+				b, err := e.poolA.Get()
+				if err != nil {
+					time.Sleep(50 * time.Microsecond)
+					continue
 				}
-			}()
-		}
+				if b.SetBytes(frames[n%len(frames)]) != nil || e.nicA.Send([]*mempool.Buf{b}) != 1 {
+					b.Free()
+					continue
+				}
+				sent.Add(1)
+				n++
+			}
+		}()
 		aux.Add(1)
 		go func() { // concurrent stats observer (the -race subject)
 			defer aux.Done()

@@ -126,14 +126,14 @@ func TestMoveQueueOrderingUnderTraffic(t *testing.T) {
 		stopGen   atomic.Bool
 		stopSink  atomic.Bool
 		wg        sync.WaitGroup
+		genDone   = make(chan struct{})
 		generated atomic.Uint64
 	)
 	// Generator: round-robin the flows, stamping each frame with its flow's
 	// next sequence number. The guest PMD's RSS hash fans the flows over the
 	// queues.
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
+		defer close(genDone)
 		seqs := make([]uint32, numFlows)
 		bufs := make([]*mempool.Buf, 16)
 		one := make([]*mempool.Buf, 1)
@@ -227,6 +227,7 @@ func TestMoveQueueOrderingUnderTraffic(t *testing.T) {
 	// Shut the generator down, then drain: every generated frame must reach
 	// the consumer (conservation — the move handoff lost nothing).
 	stopGen.Store(true)
+	<-genDone // it finishes the burst in its hands first; generated is final after this
 	deadline := time.Now().Add(5 * time.Second)
 	for delivered.Load() < generated.Load() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
