@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ovshighway/internal/graph"
-	"ovshighway/internal/mempool"
 	"ovshighway/internal/nic"
 	"ovshighway/internal/orchestrator"
 	"ovshighway/internal/trunk"
@@ -107,11 +106,15 @@ func (l *Ledger) LostAcross(op func() error) (int64, error) {
 	return after - before, nil
 }
 
-// bypassHost is what a chain needs of the node or cluster it runs on.
-type bypassHost interface {
-	Mode() Mode
+// chainHost is what a chain needs of the node or cluster it runs on.
+type chainHost interface{ Mode() Mode }
+
+// bypassOwner is a chain's underlying deployment, single-node or cluster: it
+// counts the live bypass links touching the chain's own ports, whatever else
+// is deployed beside it.
+type bypassOwner interface {
 	BypassCount() int
-	WaitBypasses(want int) bool
+	WaitBypassCount(want int) bool
 }
 
 // Chain is a deployed benchmark chain with measurement hooks, on one node
@@ -121,9 +124,10 @@ type bypassHost interface {
 // stays empty.
 type Chain struct {
 	Ledger
-	host     bypassHost         // the *Node or *Cluster the chain runs on
+	host     chainHost          // the *Node or *Cluster the chain runs on
 	dep      *Deployment        // single-node chains
 	cdep     *ClusterDeployment // cluster chains
+	own      bypassOwner        // dep's or cdep's orchestrator deployment
 	n        int
 	hops     int              // VM↔VM hops along the chain
 	segments []int            // chain VMs per node, in node order, at deploy
@@ -200,7 +204,7 @@ func (node *Node) DeployBidirChain(n int, opts ChainOptions) (*Chain, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Chain{host: node, dep: d, n: n, hops: n + 1, segments: []int{n + 2}}
+	c := &Chain{host: node, dep: d, own: d.inner, n: n, hops: n + 1, segments: []int{n + 2}}
 	c.setEnds(d.inner.SrcSink("end0"), d.inner.SrcSink("end1"))
 	return c, nil
 }
@@ -227,7 +231,7 @@ func (node *Node) DeployNICChain(n int, opts ChainOptions) (*Chain, error) {
 		return nil, err
 	}
 	// NIC↔VM hops cannot bypass: n VMs ⇒ n-1 VM↔VM hops.
-	c := &Chain{host: node, dep: d, n: n, hops: max(n-1, 0), segments: []int{n},
+	c := &Chain{host: node, dep: d, own: d.inner, n: n, hops: max(n-1, 0), segments: []int{n},
 		nics: []*nic.NIC{eth0, eth1}}
 	c.setEnds()
 
@@ -277,23 +281,9 @@ func (c *Chain) Stop() {
 	node.Switch.WaitDatapathQuiescence()
 	for _, dev := range c.nics {
 		// Free anything still parked in either NIC queue. The generators and
-		// the switch PMDs are stopped or detached by now, so both drains see
+		// the switch PMDs are stopped or detached by now, so the drain sees
 		// quiescent rings.
-		scratch := make([]*mempool.Buf, 32)
-		for {
-			k := dev.DrainToWire(scratch)
-			if k == 0 {
-				break
-			}
-			mempool.FreeBatch(scratch[:k])
-		}
-		for {
-			k := dev.DrainFromWire(scratch)
-			if k == 0 {
-				break
-			}
-			mempool.FreeBatch(scratch[:k])
-		}
+		dev.Reclaim()
 	}
 }
 
@@ -413,23 +403,22 @@ type Window struct {
 	Mpps           float64 // aggregate receive rate, both directions
 	Mean, P50, P99 time.Duration
 	Samples        uint64 // latency samples (0 unless deployed with Timestamp)
-	Bypasses       int    // live bypasses at the end of the window
+	Bypasses       int    // the chain's own live bypasses at the end of the window
 	// Paths are the window deltas of every trunk a cluster chain's lanes
 	// ride (shared adjacencies count co-resident chains' frames too).
 	Paths []PathDelta
 }
 
 // Measure runs the one measurement cycle on a deployed chain. In highway
-// mode it first waits for exactly ExpectedBypasses live bypasses and fails
-// otherwise, so a window never silently measures a half-built highway. The
-// count is host-wide: the chain must be the only highway deployment on its
-// node or cluster, or the wait fails on the others' bypasses. Then it warms
-// up, zeroes the counters, sleeps the window and reads throughput, latency,
-// bypass count and per-trunk deltas together.
+// mode it first waits for exactly ExpectedBypasses live bypasses on the
+// chain's own ports and fails otherwise, so a window never silently measures
+// a half-built highway. Then it warms up, zeroes the counters, sleeps the
+// window and reads throughput, latency, bypass count and per-trunk deltas
+// together.
 func (c *Chain) Measure(warmup, window time.Duration) (Window, error) {
 	if c.host.Mode() == ModeHighway {
-		if want := c.ExpectedBypasses(); !c.host.WaitBypasses(want) {
-			return Window{}, fmt.Errorf("bypasses not established: %d live, want %d", c.host.BypassCount(), want)
+		if want := c.ExpectedBypasses(); !c.own.WaitBypassCount(want) {
+			return Window{}, fmt.Errorf("bypasses not established: %d live, want %d", c.own.BypassCount(), want)
 		}
 	}
 	time.Sleep(warmup)
@@ -446,7 +435,7 @@ func (c *Chain) Measure(warmup, window time.Duration) (Window, error) {
 		P50:      c.LatencyQuantile(0.50),
 		P99:      c.LatencyQuantile(0.99),
 		Samples:  c.LatencySamples(),
-		Bypasses: c.host.BypassCount(),
+		Bypasses: c.own.BypassCount(),
 		Paths:    trunkTotals(trunks),
 	}
 	for i := range w.Paths {

@@ -307,7 +307,7 @@ func (c *Cluster) deploySplitChain(prefix string, n int, nodes []string, opts Ch
 	if err != nil {
 		return nil, err
 	}
-	sc := &Chain{host: c, cdep: dep, n: n, hops: n + 1}
+	sc := &Chain{host: c, cdep: dep, own: dep.inner, n: n, hops: n + 1}
 	for _, name := range nodes {
 		if k := counts[name]; k > 0 {
 			sc.segments = append(sc.segments, k)

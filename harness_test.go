@@ -4,6 +4,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"ovshighway/internal/vswitch"
 )
 
 // TestChainExpectedBypasses pins the one ExpectedBypasses against all three
@@ -82,5 +84,86 @@ func TestLedgerSettle(t *testing.T) {
 	}
 	if el := time.Since(t0); el < 60*time.Millisecond || el > 5*time.Second {
 		t.Fatalf("busy ledger settled after %v, want the 60ms timeout", el)
+	}
+}
+
+// TestMeasureCountsOwnBypasses: Measure waits on the bypass links touching
+// the chain's own ports, so two highway chains sharing one node both measure
+// — each sees its own 6 links while 12 are live on the node.
+func TestMeasureCountsOwnBypasses(t *testing.T) {
+	cluster, err := StartCluster(ClusterConfig{Config: Config{Mode: ModeHighway}, Nodes: []string{"n0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	var chains []*Chain
+	for _, prefix := range []string{"x-", "y-"} {
+		c, err := cluster.deploySplitChain(prefix, 2, nil, ChainOptions{RatePps: 20_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Stop()
+		chains = append(chains, c)
+	}
+	for i, c := range chains {
+		w, err := c.Measure(0, 20*time.Millisecond)
+		if err != nil {
+			t.Fatalf("chain %d: %v (node carries %d bypasses)", i, err, cluster.BypassCount())
+		}
+		if w.Bypasses != 6 || w.Mpps <= 0 {
+			t.Fatalf("chain %d measured %d own bypasses at %.3f Mpps, want 6 and traffic", i, w.Bypasses, w.Mpps)
+		}
+	}
+	if got := cluster.BypassCount(); got != 12 {
+		t.Fatalf("node carries %d bypasses, want both chains' 12", got)
+	}
+}
+
+// TestDeployOrderNoStartupLoss: the deploy transaction starts generators
+// after the last steering rule, so on a paced chain — vanilla or highway,
+// one node or split over two — not one packet faces a table without its
+// rule or a rule without its port, and the ledger closes at exactly zero.
+func TestDeployOrderNoStartupLoss(t *testing.T) {
+	opts := ChainOptions{Flows: 4, RatePps: 5_000}
+	for _, mode := range []Mode{ModeVanilla, ModeHighway} {
+		node, err := Start(Config{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Stop()
+		cluster, err := StartCluster(ClusterConfig{Config: Config{Mode: mode}, TrunkRate: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Stop()
+		switches := map[string][]*vswitch.Switch{"one node": {node.Internal().Switch}}
+		for _, name := range cluster.NodeNames() {
+			switches["split"] = append(switches["split"], cluster.Internal().Node(name).Switch)
+		}
+		for layout, deploy := range map[string]func() (*Chain, error){
+			"one node": func() (*Chain, error) { return node.DeployBidirChain(3, opts) },
+			"split":    func() (*Chain, error) { return cluster.DeploySplitChain(3, nil, opts) },
+		} {
+			c, err := deploy()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); c.Received() < 1000 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			c.Pause(true)
+			lost := c.Settle(settleTimeout)
+			var misses, nowhere uint64
+			for _, sw := range switches[layout] {
+				dp := sw.DatapathStats()
+				misses += dp.ClassifierMisses
+				nowhere += dp.OutputNowhere
+			}
+			if lost != 0 || misses != 0 || nowhere != 0 || c.Received() < 1000 {
+				t.Errorf("%v, %s: %d lost of %d sent (%d received), %d table misses, %d output to nowhere",
+					mode, layout, lost, c.Sent(), c.Received(), misses, nowhere)
+			}
+			c.Stop()
+		}
 	}
 }

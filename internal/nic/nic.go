@@ -167,6 +167,19 @@ func (n *NIC) DrainFromWire(out []*mempool.Buf) int {
 	return n.rxQ.Dequeue(out)
 }
 
+// Reclaim frees every frame still parked in either descriptor ring — the
+// last step of tearing a NIC down, only valid once the wire side (pump,
+// generator, sink) has stopped and the switch has detached the port and
+// quiesced: both rings are single-consumer.
+func (n *NIC) Reclaim() {
+	var scratch [32]*mempool.Buf
+	for _, q := range []*ring.SPSC[*mempool.Buf]{n.txQ, n.rxQ} {
+		for k := q.Dequeue(scratch[:]); k > 0; k = q.Dequeue(scratch[:]) {
+			mempool.FreeBatch(scratch[:k])
+		}
+	}
+}
+
 // tokenBucket is a packet-granular rate limiter. rate 0 disables limiting.
 type tokenBucket struct {
 	mu     sync.Mutex

@@ -3,13 +3,14 @@ package orchestrator
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ovshighway/internal/flow"
 	"ovshighway/internal/graph"
-	"ovshighway/internal/mempool"
 	"ovshighway/internal/nic"
 	"ovshighway/internal/trunk"
 	"ovshighway/internal/vnf"
@@ -92,15 +93,8 @@ func (tc TrunkConfig) width() int {
 // being ==-comparable when Spines arrived (slice field), and ensureTrunk's
 // shared-adjacency check must keep comparing by value, not identity.
 func (tc TrunkConfig) equal(o TrunkConfig) bool {
-	if len(tc.Spines) != len(o.Spines) {
-		return false
-	}
-	for i := range tc.Spines {
-		if tc.Spines[i] != o.Spines[i] {
-			return false
-		}
-	}
-	return tc.RatePps == o.RatePps &&
+	return slices.Equal(tc.Spines, o.Spines) &&
+		tc.RatePps == o.RatePps &&
 		tc.Latency == o.Latency &&
 		tc.QueueSize == o.QueueSize &&
 		tc.StagingCap == o.StagingCap &&
@@ -167,6 +161,9 @@ type trunkLink struct {
 	// ports to steering and no capacity; the reconciler rebuilds the slot
 	// in place.
 	failed bool
+	// drained is claimed by the one caller that reclaims the dismantled
+	// link's NIC queues (drainDeadLink).
+	drained atomic.Bool
 }
 
 // port returns the link's switch port id on the given node of the pair.
@@ -201,6 +198,17 @@ func (ct *clusterTrunk) ports(node string) []uint32 {
 			continue
 		}
 		out = append(out, tl.port(ct.pair, node))
+	}
+	return out
+}
+
+// liveTrunks returns the bundle's non-failed trunks in link order.
+func (ct *clusterTrunk) liveTrunks() []*trunk.Trunk {
+	out := make([]*trunk.Trunk, 0, len(ct.links))
+	for _, tl := range ct.links {
+		if !tl.failed {
+			out = append(out, tl.tr)
+		}
 	}
 	return out
 }
@@ -332,12 +340,7 @@ func (c *Cluster) Trunks() []*trunk.Trunk {
 	defer c.mu.Unlock()
 	var out []*trunk.Trunk
 	for _, k := range c.sortedPairs() {
-		for _, tl := range c.trunks[k].links {
-			if tl.failed {
-				continue
-			}
-			out = append(out, tl.tr)
-		}
+		out = append(out, c.trunks[k].liveTrunks()...)
 	}
 	return out
 }
@@ -348,18 +351,10 @@ func (c *Cluster) Trunks() []*trunk.Trunk {
 func (c *Cluster) PairTrunks(a, b string) []*trunk.Trunk {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ct, ok := c.trunks[makePair(a, b)]
-	if !ok {
-		return nil
+	if ct, ok := c.trunks[makePair(a, b)]; ok {
+		return ct.liveTrunks()
 	}
-	out := make([]*trunk.Trunk, 0, len(ct.links))
-	for _, tl := range ct.links {
-		if tl.failed {
-			continue
-		}
-		out = append(out, tl.tr)
-	}
-	return out
+	return nil
 }
 
 // ErrUnknownAdjacency reports a fault-injection call naming a node pair (or
@@ -686,25 +681,15 @@ func (c *Cluster) dismantleLinkLocked(pair pairKey, tl *trunkLink) {
 // snapshots, then reclaims whatever is parked in the dead link's NIC queues
 // (pumps and PMDs are both gone, so the drains see quiescent rings).
 func (c *Cluster) drainDeadLink(pair pairKey, tl *trunkLink) {
+	if tl.drained.Swap(true) {
+		// The NIC queues are single-consumer: a second drain racing the
+		// first would free buffers twice.
+		panic("orchestrator: dead trunk link drained twice")
+	}
 	c.nodes[pair.lo].Switch.WaitDatapathQuiescence()
 	c.nodes[pair.hi].Switch.WaitDatapathQuiescence()
-	scratch := make([]*mempool.Buf, 32)
-	for _, dev := range []*nic.NIC{tl.nicLo, tl.nicHi} {
-		for {
-			k := dev.DrainToWire(scratch)
-			if k == 0 {
-				break
-			}
-			mempool.FreeBatch(scratch[:k])
-		}
-		for {
-			k := dev.DrainFromWire(scratch)
-			if k == 0 {
-				break
-			}
-			mempool.FreeBatch(scratch[:k])
-		}
-	}
+	tl.nicLo.Reclaim()
+	tl.nicHi.Reclaim()
 }
 
 // releaseLane frees one lane hop on an adjacency and, when the adjacency
@@ -759,20 +744,13 @@ func (c *Cluster) releaseLane(pair pairKey, vid uint16) {
 	}
 }
 
-// releaseVid returns a lane's cluster-wide VLAN id to the allocator.
-func (c *Cluster) releaseVid(vid uint16) {
-	c.mu.Lock()
-	delete(c.vids, vid)
-	c.mu.Unlock()
-}
-
-// laneSteer is one realized crossing's steering intent: the crossing, its
-// cluster-wide VLAN id and the adjacency paths it rides (a single one-hop
-// path in mesh mode, one two-hop path per spine in a k-spine core; the vid
-// is registered on every trunk of every path). Hop port snapshots are
-// deliberately NOT stored: they are recaptured under Cluster.mu every time
-// rules are (re)derived, so a repaired bundle's fresh ports flow into the
-// next reconcile pass automatically.
+// laneSteer is one crossing's steering intent: the crossing, its
+// cluster-wide VLAN id (0 until realizeLane allocates one) and the adjacency
+// paths it rides (a single one-hop path in mesh mode, one two-hop path per
+// spine in a k-spine core; the vid is registered on every trunk of every
+// path). Hop port snapshots are deliberately NOT stored: they are recaptured
+// under Cluster.mu every time rules are (re)derived, so a repaired bundle's
+// fresh ports flow into the next reconcile pass automatically.
 type laneSteer struct {
 	ce    graph.CrossEdge
 	vid   uint16
@@ -785,6 +763,69 @@ func (st laneSteer) eachPair(fn func(pairKey)) {
 		for _, pair := range path {
 			fn(pair)
 		}
+	}
+}
+
+// realizeLane makes the steer's lane real and whole, idempotently: a fresh
+// steer gets its vid and paths; then every adjacency of every path is
+// created if absent, has its failed bundle slots rebuilt in place, and
+// carries the vid. It is the only place adjacencies are created and lanes
+// registered — Deploy calls it for fresh steers, Migrate for the crossings a
+// move adds, Reconcile for all of them. Returns the number of things it had
+// to create or repair (0 = the fabric already matched). Vid and paths are
+// recorded in the steer BEFORE any hop is attempted, so after a failure
+// releaseSteers removes whatever hops did register first and only then
+// returns the vid to the allocator — freeing it while earlier hops still
+// carry it would let a concurrent Deploy be handed a vid that is live on
+// other trunks. Caller holds c.mu.
+func (c *Cluster) realizeLane(st *laneSteer, spines []string, tcfg TrunkConfig) (int, error) {
+	if st.vid == 0 {
+		vid, err := c.allocVidLocked()
+		if err != nil {
+			return 0, err
+		}
+		st.vid, st.paths = vid, c.paths(st.ce.NodeA, st.ce.NodeB, spines, tcfg)
+	}
+	repairs := 0
+	for _, path := range st.paths {
+		for _, pair := range path {
+			_, existed := c.trunks[pair]
+			ct, err := c.ensureTrunk(pair, tcfg)
+			if err != nil {
+				return repairs, err
+			}
+			if !existed {
+				repairs++
+			}
+			n, err := c.repairTrunkLocked(ct)
+			repairs += n
+			if err != nil {
+				return repairs, err
+			}
+			if !ct.lanes[st.vid] {
+				if err := ct.addLaneLocked(st.vid); err != nil {
+					return repairs, err
+				}
+				repairs++
+			}
+		}
+	}
+	return repairs, nil
+}
+
+// releaseSteers unwinds realizeLane for each steer: its hops come off every
+// adjacency of its paths (an adjacency dies with its last lane), and only
+// then does its vid return to the allocator. Safe on half-realized steers —
+// releasing a hop that never registered is a no-op.
+func (c *Cluster) releaseSteers(sts []laneSteer) {
+	for _, st := range sts {
+		if st.vid == 0 {
+			continue
+		}
+		st.eachPair(func(pair pairKey) { c.releaseLane(pair, st.vid) })
+		c.mu.Lock()
+		delete(c.vids, st.vid)
+		c.mu.Unlock()
 	}
 }
 
@@ -820,11 +861,12 @@ type ClusterDeployment struct {
 
 	deps   map[string]*Deployment
 	steers []laneSteer
+	// live is set once the generators run: from then on install lets the
+	// datapath see freshly added ports before any rule names them.
+	live bool
 	// steerCookie stamps relay rules installed on nodes that host none of
-	// the deployment's VNFs (the spine), so teardown can find exactly them.
+	// the deployment's VNFs (the spine), so prune can find exactly them.
 	steerCookie uint64
-	// relayNodes lists the nodes carrying steerCookie-stamped rules.
-	relayNodes map[string]bool
 }
 
 // hopSnapshot is an adjacency's bundle ports captured under Cluster.mu, so
@@ -853,11 +895,9 @@ func (h hopSnapshot) ports(node string) []uint32 {
 	return h.portsHi
 }
 
-// outputTo returns the action steering a frame into an adjacency's bundle
-// on the given node: plain output for a single trunk, hash-pinned ECMP
-// spread for a bundle.
-func outputTo(h hopSnapshot, node string) flow.Action {
-	ports := h.ports(node)
+// outputTo returns the action steering a frame into the given trunk ports:
+// plain output for a single trunk, hash-pinned ECMP spread for a bundle.
+func outputTo(ports []uint32) flow.Action {
 	if len(ports) == 1 {
 		return flow.Output(ports[0])
 	}
@@ -875,12 +915,13 @@ func outputTo(h hopSnapshot, node string) flow.Action {
 // crossing spreads over k × bundle-width uplinks; in spine mode each spine's
 // vSwitch relays the tagged lane between its trunk ports; the receiving side
 // matches (trunk port, vid), strips the tag and outputs to the target VNF
-// port. The
-// per-node lowering is exactly the single-node Deploy path, so in highway
-// mode each node's detector establishes bypasses for its intra-node hops
-// while the trunk hops stay on the NIC path — the highway survives the
+// port. The per-node lowering is exactly the single-node Deploy path, so in
+// highway mode each node's detector establishes bypasses for its intra-node
+// hops while the trunk hops stay on the NIC path — the highway survives the
 // split, and all crossings of an adjacency contend for its shared uplink
-// exactly like a ToR fabric.
+// exactly like a ToR fabric. The steps run in the deploy transaction's one
+// order (DESIGN.md "Deploy transaction"): realize lanes, instantiate,
+// install rules, start generators.
 func (c *Cluster) Deploy(g *graph.Graph, tcfg TrunkConfig) (*ClusterDeployment, error) {
 	part, err := g.Partition(c.DefaultNode(), c.nicNodes())
 	if err != nil {
@@ -902,54 +943,29 @@ func (c *Cluster) Deploy(g *graph.Graph, tcfg TrunkConfig) (*ClusterDeployment, 
 		spines:      spines,
 		deps:        make(map[string]*Deployment),
 		steerCookie: DeployCookieBase | deployCookieSeq.Add(1),
-		relayNodes:  make(map[string]bool),
+	}
+	fail := func(err error) (*ClusterDeployment, error) {
+		cd.Stop()
+		return nil, err
 	}
 
-	// Realize the crossings first: one cluster-wide vid per crossing,
-	// registered on every trunk of every path it rides (one path per spine
-	// for a leaf–leaf crossing), so the steering rules below have ports and
-	// vids to reference.
+	// Realize the crossings first, so the steering rules have trunk ports
+	// and vids to reference. A half-realized steer is recorded before the
+	// failure returns: Stop releases it.
 	c.mu.Lock()
 	for _, ce := range part.Cross {
-		vid, err := c.allocVidLocked()
+		st := laneSteer{ce: ce}
+		_, err := c.realizeLane(&st, spines, tcfg)
+		cd.steers = append(cd.steers, st)
 		if err != nil {
 			c.mu.Unlock()
-			cd.Stop()
-			return nil, err
+			return fail(err)
 		}
-		st := laneSteer{ce: ce, vid: vid}
-		for _, path := range c.paths(ce.NodeA, ce.NodeB, spines, tcfg) {
-			var done []pairKey
-			for _, pair := range path {
-				ct, err := c.ensureTrunk(pair, tcfg)
-				if err == nil {
-					err = ct.addLaneLocked(vid)
-				}
-				if err != nil {
-					// The partially-registered lane is recorded before Stop
-					// so teardown removes its hops FIRST and only then
-					// returns the vid to the allocator (releaseVid) — freeing
-					// it here, while earlier hops still carry it, would let a
-					// concurrent Deploy be handed a vid that is live on other
-					// trunks.
-					if len(done) > 0 {
-						st.paths = append(st.paths, done)
-					}
-					c.mu.Unlock()
-					cd.steers = append(cd.steers, st)
-					cd.Stop()
-					return nil, err
-				}
-				done = append(done, pair)
-			}
-			st.paths = append(st.paths, done)
-		}
-		cd.steers = append(cd.steers, st)
 	}
 	c.mu.Unlock()
 
-	// Lower each partition locally. The local graphs came out of Partition
-	// validated and hold no crossing edges — those are steered below.
+	// Instantiate each partition on its node. The local graphs came out of
+	// Partition validated and hold no crossing edges.
 	for _, node := range c.order {
 		lg, ok := part.Local[node]
 		if !ok {
@@ -957,24 +973,22 @@ func (c *Cluster) Deploy(g *graph.Graph, tcfg TrunkConfig) (*ClusterDeployment, 
 		}
 		dep, err := c.nodes[node].lower(lg)
 		if err != nil {
-			cd.Stop()
-			return nil, fmt.Errorf("orchestrator: node %s: %w", node, err)
+			return fail(fmt.Errorf("orchestrator: node %s: %w", node, err))
 		}
 		cd.deps[node] = dep
 	}
 
-	// Install the lane steering, batched per node (the local rules were
-	// already installed by each node's lower).
-	specs := make(map[string][]flow.FlowSpec)
-	for _, st := range cd.steers {
-		if err := cd.steerSpecsInto(st, specs); err != nil {
-			cd.Stop()
-			return nil, err
-		}
+	// Install every node's local and lane rules in one batch per node, and
+	// only then let the generators go.
+	desired, err := cd.desiredSpecs()
+	if err != nil {
+		return fail(err)
 	}
-	for node, ss := range specs {
-		c.nodes[node].Switch.Table().AddBatch(ss)
+	cd.install(desired)
+	for _, d := range cd.deps {
+		d.startGenerators()
 	}
+	cd.live = true
 	c.mu.Lock()
 	c.deployments[cd] = true
 	c.mu.Unlock()
@@ -1070,11 +1084,7 @@ func (cd *ClusterDeployment) steerDir(st laneSteer, fromNode string, fromEp grap
 	if st.ce.PCP != 0 {
 		acts = append(acts, flow.SetVlanPcp(st.ce.PCP))
 	}
-	if len(sendPorts) == 1 {
-		acts = append(acts, flow.Output(sendPorts[0]))
-	} else {
-		acts = append(acts, flow.OutputECMP(sendPorts...))
-	}
+	acts = append(acts, outputTo(sendPorts))
 	specs[fromNode] = append(specs[fromNode], flow.FlowSpec{
 		Priority: cd.deps[fromNode].flowPrio,
 		Match:    flow.MatchInPort(src),
@@ -1099,11 +1109,10 @@ func (cd *ClusterDeployment) steerDir(st laneSteer, fromNode string, fromEp grap
 				specs[next] = append(specs[next], flow.FlowSpec{
 					Priority: prio,
 					Match:    flow.MatchInPort(inPort).WithVlan(st.vid),
-					Actions:  flow.Actions{outputTo(hops[h+1], next)},
+					Actions:  flow.Actions{outputTo(hops[h+1].ports(next))},
 					Cookie:   cd.steerCookie,
 				})
 			}
-			cd.relayNodes[next] = true
 			relay = next
 		}
 		// Receiver: match every inbound trunk port of this path's last hop,
@@ -1138,16 +1147,14 @@ func (cd *ClusterDeployment) steerDir(st laneSteer, fromNode string, fromEp grap
 // packets a node's own VNFs actually handle — counts.
 func (c *Cluster) NodeLoads() []float64 {
 	trunkRx := make([]map[uint32]bool, len(c.order))
-	idx := make(map[string]int, len(c.order))
-	for i, name := range c.order {
+	for i := range c.order {
 		trunkRx[i] = make(map[uint32]bool)
-		idx[name] = i
 	}
 	c.mu.Lock()
 	for pair, ct := range c.trunks {
 		for _, tl := range ct.links {
-			trunkRx[idx[pair.lo]][tl.portLo] = true
-			trunkRx[idx[pair.hi]][tl.portHi] = true
+			trunkRx[c.nodeIndex(pair.lo)][tl.portLo] = true
+			trunkRx[c.nodeIndex(pair.hi)][tl.portHi] = true
 		}
 	}
 	c.mu.Unlock()
@@ -1233,15 +1240,11 @@ func (c *Cluster) CordonedNodes() []string {
 // whether any failed slot exists at all (the controller's defer signal),
 // independent of withFaults.
 func (c *Cluster) placementExclusions(withFaults bool) ([]bool, bool) {
-	idx := make(map[string]int, len(c.order))
-	for i, name := range c.order {
-		idx[name] = i
-	}
 	excluded := make([]bool, len(c.order))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for name := range c.cordoned {
-		excluded[idx[name]] = true
+		excluded[c.nodeIndex(name)] = true
 	}
 	anyFailed := false
 	for pair, ct := range c.trunks {
@@ -1249,8 +1252,8 @@ func (c *Cluster) placementExclusions(withFaults bool) ([]bool, bool) {
 			if tl.failed {
 				anyFailed = true
 				if withFaults {
-					excluded[idx[pair.lo]] = true
-					excluded[idx[pair.hi]] = true
+					excluded[c.nodeIndex(pair.lo)] = true
+					excluded[c.nodeIndex(pair.hi)] = true
 				}
 			}
 		}
@@ -1317,63 +1320,63 @@ func (cd *ClusterDeployment) Crossings() int {
 	return cd.graph.Crossings(cd.cluster.DefaultNode(), cd.cluster.nicNodes())
 }
 
-// SrcSink finds a named bidirectional endpoint VNF across all partitions.
-func (cd *ClusterDeployment) SrcSink(name string) *vnf.SrcSink {
-	for _, d := range cd.deps {
-		if ss := d.SrcSink(name); ss != nil {
-			return ss
+// ordered returns the local deployments in cluster node order.
+func (cd *ClusterDeployment) ordered() []*Deployment {
+	out := make([]*Deployment, 0, len(cd.deps))
+	for _, node := range cd.cluster.order {
+		if d := cd.deps[node]; d != nil {
+			out = append(out, d)
 		}
-	}
-	return nil
-}
-
-// Sink finds a named sink VNF across all partitions.
-func (cd *ClusterDeployment) Sink(name string) *vnf.Sink {
-	for _, d := range cd.deps {
-		if s := d.Sink(name); s != nil {
-			return s
-		}
-	}
-	return nil
-}
-
-// Sources returns every source VNF across all partitions.
-func (cd *ClusterDeployment) Sources() []*vnf.Source {
-	var out []*vnf.Source
-	for _, d := range cd.deps {
-		out = append(out, d.sources...)
 	}
 	return out
 }
 
+// SrcSink finds a named bidirectional endpoint VNF across all partitions.
+func (cd *ClusterDeployment) SrcSink(name string) *vnf.SrcSink {
+	return first(handles[*vnf.SrcSink](name, cd.ordered()...))
+}
+
+// Sink finds a named sink VNF across all partitions.
+func (cd *ClusterDeployment) Sink(name string) *vnf.Sink {
+	return first(handles[*vnf.Sink](name, cd.ordered()...))
+}
+
+// Sources returns every source VNF across all partitions.
+func (cd *ClusterDeployment) Sources() []*vnf.Source {
+	return handles[*vnf.Source]("", cd.ordered()...)
+}
+
 // NAT44 finds a named stateful NAT VNF across all partitions.
 func (cd *ClusterDeployment) NAT44(name string) *vnf.NAT44 {
-	for _, d := range cd.deps {
-		if n := d.NAT44(name); n != nil {
-			return n
-		}
-	}
-	return nil
+	return first(handles[*vnf.NAT44](name, cd.ordered()...))
 }
 
 // ACL finds a named stateful firewall VNF across all partitions.
 func (cd *ClusterDeployment) ACL(name string) *vnf.ACL {
-	for _, d := range cd.deps {
-		if a := d.ACL(name); a != nil {
-			return a
-		}
-	}
-	return nil
+	return first(handles[*vnf.ACL](name, cd.ordered()...))
 }
 
 // Balancer finds a named L4 balancer VNF across all partitions.
 func (cd *ClusterDeployment) Balancer(name string) *vnf.Balancer {
+	return first(handles[*vnf.Balancer](name, cd.ordered()...))
+}
+
+// BypassCount sums the live bypass links touching the deployment's own
+// ports on every node it spans.
+func (cd *ClusterDeployment) BypassCount() int {
+	cd.mu.Lock()
+	defer cd.mu.Unlock()
+	total := 0
 	for _, d := range cd.deps {
-		if b := d.Balancer(name); b != nil {
-			return b
-		}
+		total += d.BypassCount()
 	}
-	return nil
+	return total
+}
+
+// WaitBypassCount blocks (bounded) until exactly want of the deployment's
+// own bypasses are live.
+func (cd *ClusterDeployment) WaitBypassCount(want int) bool {
+	return waitCond(func() bool { return cd.BypassCount() == want })
 }
 
 // Trunks returns the trunks this deployment's lanes ride, ordered by node
@@ -1391,45 +1394,39 @@ func (cd *ClusterDeployment) Trunks() []*trunk.Trunk {
 			}
 			seen[pair] = true
 			if ct, ok := cd.cluster.trunks[pair]; ok {
-				for _, tl := range ct.links {
-					if tl.failed {
-						continue
-					}
-					out = append(out, tl.tr)
-				}
+				out = append(out, ct.liveTrunks()...)
 			}
 		})
 	}
 	return out
 }
 
-// Lanes returns the deployment's (node pair, vid) lane assignments in
-// crossing order; a spine-relayed lane appears once per hop.
-func (cd *ClusterDeployment) Lanes() []struct {
+// Lane is one hop of a deployment's lane assignment: the adjacency and the
+// vid riding it.
+type Lane struct {
 	NodeA, NodeB string
 	VID          uint16
-} {
-	var out []struct {
-		NodeA, NodeB string
-		VID          uint16
-	}
+}
+
+// Lanes returns the deployment's (node pair, vid) lane assignments in
+// crossing order; a spine-relayed lane appears once per hop.
+func (cd *ClusterDeployment) Lanes() []Lane {
+	var out []Lane
 	for _, ln := range cd.steers {
 		ln.eachPair(func(pair pairKey) {
-			out = append(out, struct {
-				NodeA, NodeB string
-				VID          uint16
-			}{NodeA: pair.lo, NodeB: pair.hi, VID: ln.vid})
+			out = append(out, Lane{NodeA: pair.lo, NodeB: pair.hi, VID: ln.vid})
 		})
 	}
 	return out
 }
 
-// Stop tears the cluster deployment down in dependency order: relay rules
-// on pass-through nodes (found by steer cookie), then local deployments
-// (steering and lane rules deleted by cookie, bypasses dissolved, VMs
-// destroyed), then the lanes — and with an adjacency's last lane the whole
-// bundle, its pumps stopped, NICs detached and queues drained. Lanes of
-// co-resident deployments on the same trunks keep flowing.
+// Stop is the deploy transaction in reverse: generators paused on every
+// node, then the deployment's rules pruned everywhere (relay rules on
+// pass-through nodes included), then the local deployments retired
+// (bypasses dissolved, VMs destroyed), then the lanes released — and with an
+// adjacency's last lane the whole bundle, its pumps stopped, NICs detached
+// and queues drained. Lanes of co-resident deployments on the same trunks
+// keep flowing.
 func (cd *ClusterDeployment) Stop() {
 	cd.mu.Lock()
 	defer cd.mu.Unlock()
@@ -1444,23 +1441,15 @@ func (cd *ClusterDeployment) Stop() {
 	cd.cluster.mu.Lock()
 	delete(cd.cluster.deployments, cd)
 	cd.cluster.mu.Unlock()
-	for node := range cd.relayNodes {
-		cd.cluster.nodes[node].Switch.Table().DeleteWhere(func(f *flow.Flow) bool {
-			return f.Cookie == cd.steerCookie
-		})
+	deps := cd.ordered()
+	for _, d := range deps {
+		d.pauseGenerators()
 	}
-	cd.relayNodes = map[string]bool{}
-	for _, node := range cd.cluster.order {
-		if d := cd.deps[node]; d != nil {
-			d.Stop()
-		}
+	cd.prune(nil)
+	for _, d := range deps {
+		d.Stop()
 	}
 	cd.deps = map[string]*Deployment{}
-	for _, ln := range cd.steers {
-		ln.eachPair(func(pair pairKey) {
-			cd.cluster.releaseLane(pair, ln.vid)
-		})
-		cd.cluster.releaseVid(ln.vid)
-	}
+	cd.cluster.releaseSteers(cd.steers)
 	cd.steers = nil
 }

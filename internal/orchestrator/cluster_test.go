@@ -37,6 +37,42 @@ func waitRecv(t *testing.T, cd *ClusterDeployment, name string, want uint64) {
 	}
 }
 
+// pauseEnds gates generation on the named srcsink endpoints.
+func pauseEnds(cd *ClusterDeployment, paused bool, names ...string) {
+	for _, name := range names {
+		cd.SrcSink(name).SetPaused(paused)
+	}
+}
+
+// settleEnds pauses the named srcsink endpoints and waits for their combined
+// ledger to go quiet — 8 identical observations 5 ms apart, the window of
+// highway.Ledger.Settle: a packet parked behind a stalled goroutine (the
+// race detector deschedules aggressively) moves no counter for several
+// milliseconds — then returns sent − received. The endpoints stay paused.
+func settleEnds(cd *ClusterDeployment, names ...string) int64 {
+	pauseEnds(cd, true, names...)
+	read := func() (moved uint64, inFlight int64) {
+		for _, name := range names {
+			ss := cd.SrcSink(name)
+			moved += ss.Sent.Load() + ss.Received.Load()
+			inFlight += ss.InFlight()
+		}
+		return moved, inFlight
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	prev, _ := read()
+	for stable := 0; stable < 8 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if cur, _ := read(); cur == prev {
+			stable++
+		} else {
+			stable, prev = 0, cur
+		}
+	}
+	_, inFlight := read()
+	return inFlight
+}
+
 // renamed returns a deep-enough copy of g with every VNF (and edge
 // endpoint) name prefixed, so two instances can share a cluster.
 func renamed(g *graph.Graph, prefix string) *graph.Graph {
@@ -83,22 +119,12 @@ func TestClusterSplitChainVanillaTrafficCrossesTrunk(t *testing.T) {
 		t.Fatalf("trunk carried %d/%d frames, both directions must flow", ab.Carried, ba.Carried)
 	}
 	// The single lane accounts for the whole trunk. Under live traffic the
-	// trunk total leads the lane's by up to a burst, so pause both ends and
-	// give the two counters until the chain has drained to agree.
-	for _, name := range []string{"end0", "end1"} {
-		cd.SrcSink(name).SetPaused(true)
-	}
+	// trunk total leads the lane's by up to a burst, so compare once the
+	// chain has drained.
+	settleEnds(cd, "end0", "end1")
 	vid := tr.Lanes()[0]
-	agree := func() bool {
-		ab, ba = tr.Stats()
-		lab, lba, ok := tr.LaneStats(vid)
-		return ok && lab.Carried == ab.Carried && lba.Carried == ba.Carried
-	}
-	for deadline := time.Now().Add(5 * time.Second); !agree() && time.Now().Before(deadline); {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !agree() {
-		lab, lba, _ := tr.LaneStats(vid)
+	ab, ba = tr.Stats()
+	if lab, lba, ok := tr.LaneStats(vid); !ok || lab.Carried != ab.Carried || lba.Carried != ba.Carried {
 		t.Fatalf("lane %d stats %+v/%+v do not match trunk %+v/%+v", vid, lab, lba, ab, ba)
 	}
 	if tr.Unrouted() != 0 {

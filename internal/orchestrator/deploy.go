@@ -24,20 +24,10 @@ var deployCookieSeq atomic.Uint64
 type Deployment struct {
 	node *Node
 
-	apps     []*vnf.App
-	sources  []*vnf.Source
-	sinks    map[string]*vnf.Sink
-	srcsinks map[string]*vnf.SrcSink
-	nats     map[string]*vnf.NAT44    // stateful-VNF handles, by VNF name
-	acls     map[string]*vnf.ACL      // (lazily allocated: most deployments
-	lbs      map[string]*vnf.Balancer // carry none)
-	vms      map[string][]uint32      // VM name → port ids
-	// cts holds, by VNF name, the connection tables this deployment attached
-	// to the node's switch; whoever stops the VNF detaches its table.
-	cts map[string]*conntrack.Table
-
-	// PortOf maps (VNF name, local port) to switch port ids.
-	portOf map[graph.Endpoint]uint32
+	// insts is the instance table: every VNF this deployment runs on the
+	// node, in instantiate order. Ports, application, typed handle and
+	// connection table of a VNF live in its one entry.
+	insts []*instance
 
 	// specs is the deployment's DESIRED local steering state: the rules its
 	// node-local edges lower to, stamped with the deployment cookie. The
@@ -50,16 +40,39 @@ type Deployment struct {
 	cookie   uint64
 }
 
+// lcore is what runs inside a VNF's VM: built stopped, started by the
+// deploy transaction, stopped at retirement.
+type lcore interface {
+	Start()
+	Stop()
+}
+
+// generator is a handle that injects traffic (vnf.Source, vnf.SrcSink).
+// Generators start only after the last steering rule is installed and are
+// paused before the first one is deleted.
+type generator interface{ SetPaused(bool) }
+
+// instance is one instantiated VNF.
+type instance struct {
+	name  string
+	ports []uint32 // switch port ids, in VNF-local port order
+	// run is the VM's lcore: the *vnf.App of a middle VNF, or the traffic
+	// endpoint itself. Nil only while a failed instantiate is torn down.
+	run lcore
+	// handle is what the typed accessors hand out: the endpoint, or a
+	// stateful VNF's control handle (nil for plain forwarders).
+	handle any
+	// ct is the connection table this VNF attached to the node's switch;
+	// whoever retires the VNF detaches it.
+	ct *conntrack.Table
+}
+
 // newDeployment returns an empty deployment shell on n — no VNFs, no rules.
 // Cluster migration uses it to grow a deployment onto a node that hosted
 // none of the graph's VNFs at Deploy time.
 func newDeployment(n *Node) *Deployment {
 	return &Deployment{
 		node:     n,
-		sinks:    make(map[string]*vnf.Sink),
-		srcsinks: make(map[string]*vnf.SrcSink),
-		vms:      make(map[string][]uint32),
-		portOf:   make(map[graph.Endpoint]uint32),
 		flowPrio: 10,
 		cookie:   DeployCookieBase | deployCookieSeq.Add(1),
 	}
@@ -116,63 +129,92 @@ type SrcSinkArgs struct {
 }
 
 // Deploy lowers g onto the node: one VM per VNF with its dpdkr ports, the
-// VNF applications started inside, and one steering rule per directed edge
+// VNF applications inside, and one steering rule per directed edge
 // (in_port=A → output:B). In highway mode the detector then turns each
 // point-to-point pair into a bypass automatically — deployment code is
 // identical in both modes, which is the transparency argument end to end.
 //
-// Deploy is validation plus lower: Cluster.Deploy validates and partitions
-// a placement-labeled graph first and then runs the same per-node lowering
-// on each partition.
+// Deploy is the one-node deploy transaction (DESIGN.md "Deploy
+// transaction"): instantiate, install rules, start generators.
+// Cluster.Deploy runs the same steps around a partitioned graph.
 func (n *Node) Deploy(g *graph.Graph) (*Deployment, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return n.lower(g)
+	d, err := n.lower(g)
+	if err != nil {
+		return nil, err
+	}
+	installRules([]ruleTarget{d.target(d.specs)}, false)
+	d.startGenerators()
+	return d, nil
 }
 
-// lower is the per-node local lowering step: instantiate every VNF of the
-// (already validated, node-local) graph and install the steering rules for
-// its edges in one batched table mutation. NIC endpoints the edges name
-// must already be attached to this node.
+// lower instantiates every VNF of the (already validated, node-local) graph
+// — ports added, middle VNFs and sinks running, generators still stopped —
+// and derives the steering rules for its edges into d.specs without
+// installing them. NIC endpoints the edges name must already be attached to
+// this node.
 func (n *Node) lower(g *graph.Graph) (*Deployment, error) {
 	d := newDeployment(n)
-
-	// Instantiate VNFs.
 	for _, v := range g.VNFs {
 		if err := d.instantiate(v); err != nil {
 			d.Stop()
 			return nil, err
 		}
 	}
-
-	// Program steering rules in one batched table mutation: a chain lays
-	// down O(edges) rules and per-rule Add would rebuild the classifier
-	// snapshot per rule. The spec list is retained as the deployment's
-	// desired local state for the reconciler.
 	specs, err := d.edgeSpecs(g)
 	if err != nil {
 		d.Stop()
 		return nil, err
 	}
 	d.specs = specs
-	n.Switch.Table().AddBatch(specs)
 	return d, nil
 }
 
-// instantiate creates v's VM on the deployment's node and starts its
-// application, recording the port mapping.
+// instantiate creates v's VM on the deployment's node and builds its
+// application. The instance is recorded first, so a failed start is torn
+// down with the rest of the table.
 func (d *Deployment) instantiate(v graph.VNF) error {
 	ids, pmds, err := d.node.CreateVM(v.Name, v.Kind.PortCount())
 	if err != nil {
 		return fmt.Errorf("deploy %s: %w", v.Name, err)
 	}
-	d.vms[v.Name] = ids
-	for i, id := range ids {
-		d.portOf[graph.VNFPort(v.Name, i)] = id
-	}
-	if err := d.startVNF(v, pmds); err != nil {
+	in := &instance{name: v.Name, ports: ids}
+	d.insts = append(d.insts, in)
+	if err := d.startVNF(v, in, pmds); err != nil {
 		return fmt.Errorf("deploy %s: %w", v.Name, err)
+	}
+	return nil
+}
+
+// startGenerators is the last step of a deploy transaction: every port,
+// lane and rule is in place, so the first generated packet finds its whole
+// path.
+func (d *Deployment) startGenerators() {
+	for _, in := range d.insts {
+		if _, ok := in.handle.(generator); ok {
+			in.run.Start()
+		}
+	}
+}
+
+// pauseGenerators is the first step of teardown: nothing new enters the
+// chain while its rules and ports go away.
+func (d *Deployment) pauseGenerators() {
+	for _, in := range d.insts {
+		if g, ok := in.handle.(generator); ok {
+			g.SetPaused(true)
+		}
+	}
+}
+
+// inst returns the named instance (nil if absent).
+func (d *Deployment) inst(name string) *instance {
+	for _, in := range d.insts {
+		if in.name == name {
+			return in
+		}
 	}
 	return nil
 }
@@ -205,24 +247,14 @@ func (d *Deployment) edgeSpecs(g *graph.Graph) ([]flow.FlowSpec, error) {
 	return specs, nil
 }
 
-// appByName returns the named middle-VNF application (nil if absent).
-func (d *Deployment) appByName(name string) *vnf.App {
-	for _, a := range d.apps {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 func (d *Deployment) resolve(ep graph.Endpoint) (uint32, error) {
 	switch ep.Kind {
 	case graph.EpVNF:
-		id, ok := d.portOf[graph.Endpoint{Kind: graph.EpVNF, Name: ep.Name, Port: ep.Port}]
-		if !ok {
+		in := d.inst(ep.Name)
+		if in == nil || ep.Port < 0 || ep.Port >= len(in.ports) {
 			return 0, fmt.Errorf("deploy: unresolved endpoint %s/%d", ep.Name, ep.Port)
 		}
-		return id, nil
+		return in.ports[ep.Port], nil
 	case graph.EpNIC:
 		id, ok := d.node.NICPort(ep.Name)
 		if !ok {
@@ -234,126 +266,81 @@ func (d *Deployment) resolve(ep graph.Endpoint) (uint32, error) {
 	}
 }
 
-func (d *Deployment) startVNF(v graph.VNF, pmds []*dpdkr.PMD) error {
+// startVNF builds v's application against its guest PMDs into in. Only the
+// construction differs per kind; the lifecycle is one rule at the end —
+// everything but a generator starts now.
+func (d *Deployment) startVNF(v graph.VNF, in *instance, pmds []*dpdkr.PMD) error {
+	pool := d.node.Pool
+	var err error
 	switch v.Kind {
 	case graph.KindForward:
-		app, err := vnf.NewForwarder(v.Name, pmds[0], pmds[1], d.node.Pool)
-		if err != nil {
-			return err
-		}
-		app.Start()
-		d.apps = append(d.apps, app)
+		in.run, err = vnf.NewForwarder(v.Name, pmds[0], pmds[1], pool)
 	case graph.KindFirewall:
 		rules, _ := v.Args.([]vnf.FirewallRule)
-		app, _, err := vnf.NewFirewall(v.Name, pmds[0], pmds[1], d.node.Pool, rules)
-		if err != nil {
-			return err
-		}
-		app.Start()
-		d.apps = append(d.apps, app)
+		in.run, _, err = vnf.NewFirewall(v.Name, pmds[0], pmds[1], pool, rules)
 	case graph.KindMonitor:
-		app, _, err := vnf.NewMonitor(v.Name, pmds[0], pmds[1], d.node.Pool, 0)
-		if err != nil {
-			return err
-		}
-		app.Start()
-		d.apps = append(d.apps, app)
+		in.run, _, err = vnf.NewMonitor(v.Name, pmds[0], pmds[1], pool, 0)
 	case graph.KindNAT44:
 		args, ok := v.Args.(NAT44Args)
 		if !ok {
 			return fmt.Errorf("nat44 %s: missing NAT44Args", v.Name)
 		}
-		ct, err := d.conntrackFor(v.Name, args.Table)
-		if err != nil {
+		if err = d.attachConntrack(in, args.Table); err != nil {
 			return err
 		}
-		app, nat, err := vnf.NewNAT44(v.Name, pmds[0], pmds[1], d.node.Pool, vnf.NAT44Config{
-			ExtIP: args.ExtIP, PortBase: args.PortBase, PortCount: args.PortCount, Table: ct,
+		in.run, in.handle, err = vnf.NewNAT44(v.Name, pmds[0], pmds[1], pool, vnf.NAT44Config{
+			ExtIP: args.ExtIP, PortBase: args.PortBase, PortCount: args.PortCount, Table: in.ct,
 		})
-		if err != nil {
-			return err
-		}
-		app.Start()
-		d.apps = append(d.apps, app)
-		if d.nats == nil {
-			d.nats = make(map[string]*vnf.NAT44)
-		}
-		d.nats[v.Name] = nat
 	case graph.KindACL:
 		args, _ := v.Args.(ACLArgs)
-		ct, err := d.conntrackFor(v.Name, args.Table)
-		if err != nil {
+		if err = d.attachConntrack(in, args.Table); err != nil {
 			return err
 		}
-		app, acl, err := vnf.NewACL(v.Name, pmds[0], pmds[1], d.node.Pool, ct, args.Rules, args.DefaultAllow)
-		if err != nil {
-			return err
-		}
-		app.Start()
-		d.apps = append(d.apps, app)
-		if d.acls == nil {
-			d.acls = make(map[string]*vnf.ACL)
-		}
-		d.acls[v.Name] = acl
+		in.run, in.handle, err = vnf.NewACL(v.Name, pmds[0], pmds[1], pool, in.ct, args.Rules, args.DefaultAllow)
 	case graph.KindBalancer:
 		args, ok := v.Args.(BalancerArgs)
 		if !ok {
 			return fmt.Errorf("balancer %s: missing BalancerArgs", v.Name)
 		}
-		ct, err := d.conntrackFor(v.Name, args.Table)
-		if err != nil {
+		if err = d.attachConntrack(in, args.Table); err != nil {
 			return err
 		}
-		app, lb, err := vnf.NewBalancer(v.Name, pmds[0], pmds[1], d.node.Pool, vnf.BalancerConfig{
-			VIP: args.VIP, VIPPort: args.VIPPort, Backends: args.Backends, Table: ct,
+		in.run, in.handle, err = vnf.NewBalancer(v.Name, pmds[0], pmds[1], pool, vnf.BalancerConfig{
+			VIP: args.VIP, VIPPort: args.VIPPort, Backends: args.Backends, Table: in.ct,
 		})
-		if err != nil {
-			return err
-		}
-		app.Start()
-		d.apps = append(d.apps, app)
-		if d.lbs == nil {
-			d.lbs = make(map[string]*vnf.Balancer)
-		}
-		d.lbs[v.Name] = lb
 	case graph.KindSource:
 		args, _ := v.Args.(SourceSpecArgs)
 		if args.Spec.FrameLen == 0 {
 			args.Spec = DefaultTrafficSpec()
 		}
-		if args.Flows == 0 {
-			args.Flows = 1
-		}
-		src, err := vnf.NewSourcePaced(v.Name, pmds[0], d.node.Pool, args.Spec, args.Flows, args.RatePps)
-		if err != nil {
-			return err
-		}
-		d.sources = append(d.sources, src)
+		var src *vnf.Source
+		src, err = vnf.NewSource(v.Name, pmds[0], pool, args.Spec, args.Flows, args.RatePps)
+		in.run, in.handle = src, src
 	case graph.KindSink:
-		sink, err := vnf.NewSink(v.Name, pmds[0], d.node.Pool)
-		if err != nil {
-			return err
-		}
-		d.sinks[v.Name] = sink
+		var sink *vnf.Sink
+		sink, err = vnf.NewSink(v.Name, pmds[0], pool)
+		in.run, in.handle = sink, sink
 	case graph.KindSrcSink:
 		args, _ := v.Args.(SrcSinkArgs)
 		if args.Spec.FrameLen == 0 {
 			args.Spec = DefaultTrafficSpec()
 		}
-		if args.Flows == 0 {
-			args.Flows = 1
-		}
-		ss, err := vnf.NewSrcSink(vnf.SrcSinkConfig{
-			Name: v.Name, PMD: pmds[0], Pool: d.node.Pool,
+		var ss *vnf.SrcSink
+		ss, err = vnf.NewSrcSink(vnf.SrcSinkConfig{
+			Name: v.Name, PMD: pmds[0], Pool: pool,
 			Spec: args.Spec, Flows: args.Flows, Timestamp: args.Timestamp,
 			RatePps: args.RatePps,
 		})
-		if err != nil {
-			return err
-		}
-		d.srcsinks[v.Name] = ss
+		in.run, in.handle = ss, ss
 	default:
 		return fmt.Errorf("unknown VNF kind %q", v.Kind)
+	}
+	if err != nil {
+		in.run, in.handle = nil, nil // typed nil pointers from the failed constructor
+		return err
+	}
+	if _, gen := in.handle.(generator); !gen {
+		in.run.Start()
 	}
 	return nil
 }
@@ -370,75 +357,105 @@ func DefaultTrafficSpec() pkt.UDPSpec {
 	}
 }
 
-// conntrackFor resolves a stateful VNF's connection table: an explicit
-// override, or a fresh per-VNF (sweeper-attached) table — per-VNF because a
-// shard admits one writer and chain stages key on different tuple spaces.
-func (d *Deployment) conntrackFor(vnfName string, override *conntrack.Table) (*conntrack.Table, error) {
-	ct := override
-	if ct != nil {
-		d.node.Switch.AttachConntrack(ct)
-	} else {
-		var err error
-		if ct, err = d.node.NewConntrack(); err != nil {
-			return nil, err
-		}
+// attachConntrack resolves a stateful VNF's connection table into in.ct: an
+// explicit override, or a fresh per-VNF (sweeper-attached) table — per-VNF
+// because a shard admits one writer and chain stages key on different tuple
+// spaces.
+func (d *Deployment) attachConntrack(in *instance, override *conntrack.Table) error {
+	if override != nil {
+		d.node.Switch.AttachConntrack(override)
+		in.ct = override
+		return nil
 	}
-	if d.cts == nil {
-		d.cts = make(map[string]*conntrack.Table)
-	}
-	d.cts[vnfName] = ct
-	return ct, nil
+	var err error
+	in.ct, err = d.node.NewConntrack()
+	return err
 }
 
-// detachConntrack releases the named VNF's connection table from the
-// switch sweeper and stats, once the VNF's app has stopped.
-func (d *Deployment) detachConntrack(vnfName string) {
-	if ct := d.cts[vnfName]; ct != nil {
-		d.node.Switch.DetachConntrack(ct)
-		delete(d.cts, vnfName)
+// handles collects, over the given local deployments in order, the typed
+// handle of every instance that has one of type T and is called name (""
+// matches any name) — the one lookup behind every typed accessor.
+func handles[T any](name string, deps ...*Deployment) []T {
+	var out []T
+	for _, d := range deps {
+		for _, in := range d.insts {
+			if h, ok := in.handle.(T); ok && (name == "" || in.name == name) {
+				out = append(out, h)
+			}
+		}
 	}
+	return out
+}
+
+// first returns the first handle found (the zero T — a nil pointer — if none).
+func first[T any](hs []T) (h T) {
+	if len(hs) > 0 {
+		h = hs[0]
+	}
+	return h
 }
 
 // Sink returns a named sink VNF (nil if absent).
-func (d *Deployment) Sink(name string) *vnf.Sink { return d.sinks[name] }
-
-// Source returns the i-th source VNF (nil if absent); sources carry no graph
-// names, deployment order is instantiation order.
-func (d *Deployment) Source(i int) *vnf.Source {
-	if i < 0 || i >= len(d.sources) {
-		return nil
-	}
-	return d.sources[i]
-}
+func (d *Deployment) Sink(name string) *vnf.Sink { return first(handles[*vnf.Sink](name, d)) }
 
 // NAT44 returns a named NAT44 VNF handle (nil if absent).
-func (d *Deployment) NAT44(name string) *vnf.NAT44 { return d.nats[name] }
+func (d *Deployment) NAT44(name string) *vnf.NAT44 { return first(handles[*vnf.NAT44](name, d)) }
 
 // ACL returns a named ACL VNF handle (nil if absent).
-func (d *Deployment) ACL(name string) *vnf.ACL { return d.acls[name] }
+func (d *Deployment) ACL(name string) *vnf.ACL { return first(handles[*vnf.ACL](name, d)) }
 
 // Balancer returns a named balancer VNF handle (nil if absent).
-func (d *Deployment) Balancer(name string) *vnf.Balancer { return d.lbs[name] }
+func (d *Deployment) Balancer(name string) *vnf.Balancer {
+	return first(handles[*vnf.Balancer](name, d))
+}
 
 // SrcSink returns a named bidirectional endpoint VNF (nil if absent).
-func (d *Deployment) SrcSink(name string) *vnf.SrcSink { return d.srcsinks[name] }
+func (d *Deployment) SrcSink(name string) *vnf.SrcSink {
+	return first(handles[*vnf.SrcSink](name, d))
+}
 
-// Apps returns the started middle-VNF applications.
-func (d *Deployment) Apps() []*vnf.App { return d.apps }
-
-// Stop halts all VNFs and destroys their VMs (ports removed from the
-// switch). Steering rules die first — the deployment's own (by cookie)
-// plus any flow referencing the doomed ports, whoever installed it, so the
-// bypass manager tears links down before the PMD owners disappear.
-// Unrelated flows (other deployments, controller rules on other ports)
-// survive.
-func (d *Deployment) Stop() {
+// ownPorts returns the set of switch ports of the deployment's own VMs.
+func (d *Deployment) ownPorts() map[uint32]bool {
 	mine := make(map[uint32]bool)
-	for _, ids := range d.vms {
-		for _, id := range ids {
+	for _, in := range d.insts {
+		for _, id := range in.ports {
 			mine[id] = true
 		}
 	}
+	return mine
+}
+
+// bypassesOn counts the node's live bypass links touching any port of mine.
+func (d *Deployment) bypassesOn(mine map[uint32]bool) int {
+	n := 0
+	for _, l := range d.node.Switch.BypassLinks() {
+		if mine[l.From] || mine[l.To] {
+			n++
+		}
+	}
+	return n
+}
+
+// BypassCount reports the live bypass links touching the deployment's own
+// ports — its share of the node's highway, whoever else is deployed there.
+func (d *Deployment) BypassCount() int { return d.bypassesOn(d.ownPorts()) }
+
+// WaitBypassCount blocks (bounded) until exactly want of the deployment's
+// own bypasses are live.
+func (d *Deployment) WaitBypassCount(want int) bool {
+	mine := d.ownPorts()
+	return waitCond(func() bool { return d.bypassesOn(mine) == want })
+}
+
+// Stop is the deploy transaction in reverse: generators paused, steering
+// rules deleted — the deployment's own (by cookie) plus any flow referencing
+// the doomed ports, whoever installed it, so the bypass manager tears links
+// down before the PMD owners disappear — then every VNF retired, last
+// instantiated first. Unrelated flows (other deployments, controller rules
+// on other ports) survive.
+func (d *Deployment) Stop() {
+	d.pauseGenerators()
+	mine := d.ownPorts()
 	touchesMine := func(f *flow.Flow) bool {
 		if f.Match.Mask.InPort != 0 && mine[f.Match.Key.InPort] {
 			return true
@@ -455,33 +472,32 @@ func (d *Deployment) Stop() {
 	})
 	if d.node.Manager != nil {
 		// Wait for the manager to process the deletions before VMs go away.
-		// Only this deployment's bypasses dissolve; count the survivors via
-		// the ports being destroyed instead of expecting zero.
-		waitCond(func() bool {
-			for _, l := range d.node.Switch.BypassLinks() {
-				if mine[l.From] || mine[l.To] {
-					return false
-				}
-			}
-			return true
-		})
+		// Only this deployment's bypasses dissolve; the survivors belong to
+		// co-resident deployments.
+		waitCond(func() bool { return d.bypassesOn(mine) == 0 })
 	}
-	for _, s := range d.sources {
-		s.Stop()
+	for len(d.insts) > 0 {
+		d.removeVNF(d.insts[len(d.insts)-1].name)
 	}
-	for _, s := range d.srcsinks {
-		s.Stop()
-	}
-	for _, app := range d.apps {
-		app.Stop()
-	}
-	for _, s := range d.sinks {
-		s.Stop()
-	}
-	for name := range d.cts {
-		d.detachConntrack(name)
-	}
-	for name, ids := range d.vms {
-		_ = d.node.DestroyVM(name, ids)
+}
+
+// removeVNF retires one VNF from the deployment: lcore stopped, connection
+// table detached from the switch sweeper and stats, VM destroyed (which
+// waits out the datapath and frees parked frames), table entry dropped.
+// Rules are the caller's business.
+func (d *Deployment) removeVNF(name string) {
+	for i, in := range d.insts {
+		if in.name != name {
+			continue
+		}
+		if in.run != nil {
+			in.run.Stop()
+		}
+		if in.ct != nil {
+			d.node.Switch.DetachConntrack(in.ct)
+		}
+		_ = d.node.DestroyVM(name, in.ports)
+		d.insts = append(d.insts[:i], d.insts[i+1:]...)
+		return
 	}
 }

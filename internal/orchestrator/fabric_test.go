@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -295,4 +296,73 @@ func TestClusterMultiSpineEndpointStaysDirect(t *testing.T) {
 		t.Fatalf("spine-endpoint crossing created %d adjacencies, want 1", c.TrunkCount())
 	}
 	waitRecv(t, cd, "end1", 1000)
+}
+
+// TestRealizeLane drives the one lane-realize walk through its four jobs:
+// a fresh lane, the idempotent second call, in-place repair of a failed
+// bundle slot with the lane re-registered, and a mid-path failure that
+// leaves nothing behind once the half-realized steer is released.
+func TestRealizeLane(t *testing.T) {
+	c := newCluster(t, ModeVanilla, "a", "b", "s")
+	realize := func(st *laneSteer, spines []string, tcfg TrunkConfig) (int, error) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.realizeLane(st, spines, tcfg)
+	}
+	lanesOn := func(a, b string) (lanes []int) {
+		for _, tr := range c.PairTrunks(a, b) {
+			lanes = append(lanes, tr.LaneCount())
+		}
+		return lanes
+	}
+	mesh := TrunkConfig{RatePps: -1, ECMPWidth: 2}
+
+	// Fresh: vid allocated, adjacency created, lane on both bundle slots.
+	direct := laneSteer{ce: graph.CrossEdge{NodeA: "s", NodeB: "b"}}
+	if n, err := realize(&direct, nil, mesh); err != nil || n == 0 {
+		t.Fatalf("fresh lane: %d repairs, err %v; want some and none", n, err)
+	}
+	if direct.vid == 0 || len(direct.paths) != 1 || !slices.Equal(lanesOn("s", "b"), []int{1, 1}) {
+		t.Fatalf("fresh lane: vid %d, paths %v, lanes per slot %v", direct.vid, direct.paths, lanesOn("s", "b"))
+	}
+	// Again: nothing to do.
+	if n, err := realize(&direct, nil, mesh); err != nil || n != 0 {
+		t.Fatalf("second call: %d repairs, err %v; want 0 and none", n, err)
+	}
+	// A failed slot is rebuilt in place and carries the lane again.
+	if err := c.FailTrunk("s", "b", 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := lanesOn("s", "b"); len(got) != 1 {
+		t.Fatalf("after FailTrunk the bundle has %d live slots, want 1", len(got))
+	}
+	if n, err := realize(&direct, nil, mesh); err != nil || n != 1 {
+		t.Fatalf("repair: %d repairs, err %v; want 1 and none", n, err)
+	}
+	if got := lanesOn("s", "b"); !slices.Equal(got, []int{1, 1}) {
+		t.Fatalf("rebuilt bundle carries lanes %v per slot, want [1 1]", got)
+	}
+
+	// A leaf–leaf lane through spine s needs a–s then s–b, and s–b exists
+	// with another config: the second hop fails after the first registered.
+	spine := TrunkConfig{RatePps: -1, Mode: FabricSpine, Spines: []string{"s"}}
+	relayed := laneSteer{ce: graph.CrossEdge{NodeA: "a", NodeB: "b"}}
+	if _, err := realize(&relayed, spine.Spines, spine); err == nil {
+		t.Fatal("joining s–b with a different trunk config was accepted")
+	}
+	if relayed.vid == 0 || relayed.vid == direct.vid || !slices.Equal(lanesOn("a", "s"), []int{1}) {
+		t.Fatalf("half-realized steer: vid %d (direct lane has %d), a–s lanes %v", relayed.vid, direct.vid, lanesOn("a", "s"))
+	}
+	c.releaseSteers([]laneSteer{relayed})
+	c.mu.Lock()
+	vidLive := c.vids[relayed.vid]
+	c.mu.Unlock()
+	if vidLive || c.PairTrunks("a", "s") != nil || !slices.Equal(lanesOn("s", "b"), []int{1, 1}) {
+		t.Fatalf("after release: vid %d allocated=%v, a–s trunks %v, s–b lanes %v; want freed, none, [1 1]",
+			relayed.vid, vidLive, c.PairTrunks("a", "s"), lanesOn("s", "b"))
+	}
+	c.releaseSteers([]laneSteer{direct})
+	if c.TrunkCount() != 0 {
+		t.Fatalf("%d adjacencies survive their last lane", c.TrunkCount())
+	}
 }

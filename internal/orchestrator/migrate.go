@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"ovshighway/internal/flow"
-	"ovshighway/internal/graph"
+	"ovshighway/internal/vnf"
 )
 
 // Live VNF migration. The protocol is make-before-break double-steering:
@@ -116,18 +116,18 @@ func (cd *ClusterDeployment) waitMigrationDone() {
 // the deployment is marked migration-in-flight instead, so a concurrent
 // Migrate fails with ErrMigrationInFlight, Reconcile defers its pass, and
 // Stop waits for the migration to finish.
-func (cd *ClusterDeployment) Migrate(vnfName, target string) (MigrateReport, error) {
+func (cd *ClusterDeployment) Migrate(vnfName, target string) (rep MigrateReport, err error) {
 	cd.mu.Lock()
 	defer cd.mu.Unlock()
 	if cd.stopped {
-		return MigrateReport{}, fmt.Errorf("orchestrator: migrate %s: deployment is stopped", vnfName)
+		return rep, fmt.Errorf("orchestrator: migrate %s: deployment is stopped", vnfName)
 	}
 	if cd.migrating != "" {
-		return MigrateReport{}, fmt.Errorf("orchestrator: migrate %s: %w (%s is draining)", vnfName, ErrMigrationInFlight, cd.migrating)
+		return rep, fmt.Errorf("orchestrator: migrate %s: %w (%s is draining)", vnfName, ErrMigrationInFlight, cd.migrating)
 	}
 	c := cd.cluster
 	if c.nodes[target] == nil {
-		return MigrateReport{}, fmt.Errorf("orchestrator: migrate %s: unknown node %q", vnfName, target)
+		return rep, fmt.Errorf("orchestrator: migrate %s: unknown node %q", vnfName, target)
 	}
 	vi := -1
 	for i, v := range cd.graph.VNFs {
@@ -137,60 +137,83 @@ func (cd *ClusterDeployment) Migrate(vnfName, target string) (MigrateReport, err
 		}
 	}
 	if vi < 0 {
-		return MigrateReport{}, fmt.Errorf("orchestrator: migrate: unknown VNF %q", vnfName)
+		return rep, fmt.Errorf("orchestrator: migrate: unknown VNF %q", vnfName)
 	}
 	v := cd.graph.VNFs[vi]
 	if v.Kind.PortCount() != 2 {
-		return MigrateReport{}, fmt.Errorf("orchestrator: migrate %s: only two-port middle VNFs migrate (kind %s)", vnfName, v.Kind)
+		return rep, fmt.Errorf("orchestrator: migrate %s: only two-port middle VNFs migrate (kind %s)", vnfName, v.Kind)
 	}
 	src := ""
 	for node, d := range cd.deps {
-		if _, ok := d.vms[vnfName]; ok {
+		if d.inst(vnfName) != nil {
 			src = node
 			break
 		}
 	}
 	if src == "" {
-		return MigrateReport{}, fmt.Errorf("orchestrator: migrate: VNF %q not instantiated", vnfName)
+		return rep, fmt.Errorf("orchestrator: migrate: VNF %q not instantiated", vnfName)
 	}
-	rep := MigrateReport{VNF: vnfName, From: src, To: target}
+	rep = MigrateReport{VNF: vnfName, From: src, To: target}
 	if src == target {
 		rep.Drained = true
 		return rep, nil
 	}
 	srcDep := cd.deps[src]
-	oldIDs := append([]uint32(nil), srcDep.vms[vnfName]...)
-	oldApp := srcDep.appByName(vnfName)
+	old := srcDep.inst(vnfName)
+	oldApp, _ := old.run.(*vnf.App)
+
+	// Until the rules flip, any failure is undone here and nowhere else:
+	// desired state restored, the lanes the move added released (hops before
+	// vids), the replica retired, the pin reverted. Every step is a no-op
+	// when its forward half never ran.
+	prevNode, prevSteers := v.Node, cd.steers
+	prevSpecs := make(map[*Deployment][]flow.FlowSpec, len(cd.deps))
+	for _, d := range cd.deps {
+		prevSpecs[d] = d.specs
+	}
+	var tdep *Deployment
+	var added []laneSteer
+	flipped := false
+	defer func() {
+		if flipped {
+			return
+		}
+		for _, d := range cd.deps {
+			d.specs = prevSpecs[d]
+		}
+		cd.steers = prevSteers
+		c.releaseSteers(added)
+		if tdep != nil {
+			tdep.removeVNF(vnfName)
+		}
+		cd.graph.VNFs[vi].Node = prevNode
+		rep, err = MigrateReport{}, fmt.Errorf("orchestrator: migrate %s: %w", vnfName, err)
+	}()
 
 	// Re-pin and re-partition: the new desired layout.
-	prevNode := cd.graph.VNFs[vi].Node
 	cd.graph.VNFs[vi].Node = target
-	revertPin := func() { cd.graph.VNFs[vi].Node = prevNode }
 	part, err := cd.graph.Partition(c.DefaultNode(), c.nicNodes())
 	if err != nil {
-		revertPin()
-		return MigrateReport{}, fmt.Errorf("orchestrator: migrate %s: %w", vnfName, err)
+		return rep, err
 	}
 
 	// Step 1: replica on the target node.
-	tdep := cd.deps[target]
-	if tdep == nil {
+	if tdep = cd.deps[target]; tdep == nil {
 		tdep = newDeployment(c.nodes[target])
 		cd.deps[target] = tdep
 	}
-	vNew := v
-	vNew.Node = target
-	if err := tdep.instantiate(vNew); err != nil {
-		revertPin()
-		return MigrateReport{}, fmt.Errorf("orchestrator: migrate %s: %w", vnfName, err)
+	v.Node = target
+	if err := tdep.instantiate(v); err != nil {
+		return rep, err
 	}
 
-	// Step 2: lane diff by crossing identity (position in Graph.Edges).
+	// Step 2: lane diff by crossing identity (position in Graph.Edges);
+	// the crossings the move adds are realized, the old lanes stay.
 	oldByIdx := make(map[int]laneSteer, len(cd.steers))
 	for _, st := range cd.steers {
 		oldByIdx[st.ce.Index] = st
 	}
-	var kept, added []laneSteer
+	var kept []laneSteer
 	for _, ce := range part.Cross {
 		if st, ok := oldByIdx[ce.Index]; ok && st.ce.NodeA == ce.NodeA && st.ce.NodeB == ce.NodeB {
 			st.ce = ce
@@ -204,130 +227,43 @@ func (cd *ClusterDeployment) Migrate(vnfName, target string) (MigrateReport, err
 	for _, st := range oldByIdx {
 		retired = append(retired, st)
 	}
-	releaseSteers := func(sts []laneSteer) {
-		for _, st := range sts {
-			st.eachPair(func(pair pairKey) {
-				c.releaseLane(pair, st.vid)
-			})
-			c.releaseVid(st.vid)
-		}
-	}
 	c.mu.Lock()
 	for i := range added {
-		ce := added[i].ce
-		vid, err := c.allocVidLocked()
-		if err == nil {
-			added[i].vid = vid
-		pathLoop:
-			for _, path := range c.paths(ce.NodeA, ce.NodeB, cd.spines, cd.tcfg) {
-				var done []pairKey
-				for _, pair := range path {
-					ct, terr := c.ensureTrunk(pair, cd.tcfg)
-					if terr == nil {
-						terr = ct.addLaneLocked(vid)
-					}
-					if terr != nil {
-						err = terr
-						if len(done) > 0 {
-							added[i].paths = append(added[i].paths, done)
-						}
-						break pathLoop
-					}
-					done = append(done, pair)
-				}
-				added[i].paths = append(added[i].paths, done)
-			}
-		}
-		if err != nil {
-			c.mu.Unlock()
-			releaseSteers(added[:i+1])
-			tdep.removeVNF(vnfName)
-			revertPin()
-			return MigrateReport{}, fmt.Errorf("orchestrator: migrate %s: %w", vnfName, err)
+		if _, err = c.realizeLane(&added[i], cd.spines, cd.tcfg); err != nil {
+			break
 		}
 	}
 	c.mu.Unlock()
+	if err != nil {
+		return rep, err
+	}
 
 	// Recompute every node's desired local rules against the new partition
 	// (the old VNF's ports drop out, the replica's come in).
-	prevSpecs := make(map[string][]flow.FlowSpec, len(cd.deps))
 	for node, d := range cd.deps {
-		prevSpecs[node] = d.specs
-	}
-	prevSteers := cd.steers
-	revertSpec := func() {
-		for node, d := range cd.deps {
-			d.specs = prevSpecs[node]
+		d.specs = nil
+		if lg, ok := part.Local[node]; ok {
+			if d.specs, err = d.edgeSpecs(lg); err != nil {
+				return rep, err
+			}
 		}
-		cd.steers = prevSteers
-	}
-	for node, d := range cd.deps {
-		lg, ok := part.Local[node]
-		if !ok {
-			d.specs = nil
-			continue
-		}
-		sp, serr := d.edgeSpecs(lg)
-		if serr != nil {
-			revertSpec()
-			releaseSteers(added)
-			tdep.removeVNF(vnfName)
-			revertPin()
-			return MigrateReport{}, fmt.Errorf("orchestrator: migrate %s: %w", vnfName, serr)
-		}
-		d.specs = sp
 	}
 	cd.steers = append(kept, added...)
 	desired, err := cd.desiredSpecs()
 	if err != nil {
-		revertSpec()
-		releaseSteers(added)
-		tdep.removeVNF(vnfName)
-		revertPin()
-		return MigrateReport{}, fmt.Errorf("orchestrator: migrate %s: %w", vnfName, err)
+		return rep, err
 	}
 
-	// Steps 3+4: make before break. Fresh slots first — the complete dark
-	// path — then the in-place feed flips, each one an atomic slot swap.
-	freshByNode := make(map[string][]flow.FlowSpec)
-	flipByNode := make(map[string][]flow.FlowSpec)
-	for _, node := range c.order {
-		installed := cd.installedOn(node)
-		for _, sp := range desired[node] {
-			k := flowKey{sp.Priority, sp.Match}
-			if f, ok := installed[k]; ok {
-				if f.Cookie == sp.Cookie && f.Actions.Equal(sp.Actions) {
-					continue
-				}
-				flipByNode[node] = append(flipByNode[node], sp)
-			} else {
-				freshByNode[node] = append(freshByNode[node], sp)
-			}
-		}
-	}
-	// The replica's ports and any new trunk NICs were added above; a PMD
-	// iteration that began before that still forwards against its older
-	// port snapshot, and a rule naming a port it cannot see outputs to
-	// nowhere — the burst in its hands would be freed, uncounted. Let the
-	// forwarding threads of every node about to receive rules pick up the
-	// new ports first.
-	for _, node := range c.order {
-		if len(freshByNode[node])+len(flipByNode[node]) > 0 {
-			c.nodes[node].Switch.WaitDatapathQuiescence()
-		}
-	}
-	for node, ss := range freshByNode {
-		c.nodes[node].Switch.Table().AddBatch(ss)
-	}
-	for node, ss := range flipByNode {
-		c.nodes[node].Switch.Table().AddBatch(ss)
-	}
-	flipped := time.Now()
+	// Steps 3+4: make before break, in install's one order — the complete
+	// dark path first, then the in-place feed flips.
+	cd.install(desired)
+	flipped = true
+	flipTime := time.Now()
 
 	// Step 5: drain everything still committed to the old path. Stale rules
 	// are still installed, so these packets are carried to delivery.
-	oldSet := make(map[uint32]bool, len(oldIDs))
-	for _, id := range oldIDs {
+	oldSet := make(map[uint32]bool, len(old.ports))
+	for _, id := range old.ports {
 		oldSet[id] = true
 	}
 	// Pairs still carrying live lanes share their NIC rings and pump queues
@@ -347,7 +283,7 @@ func (cd *ClusterDeployment) Migrate(vnfName, target string) (MigrateReport, err
 			s.appTxD = oldApp.TxDrops.Load()
 			s.appDrop = oldApp.Dropped.Load()
 		}
-		for _, id := range oldIDs {
+		for _, id := range old.ports {
 			s.backlog += srcDep.node.portBacklog(id)
 		}
 		// The links themselves persist until the stale rules go (step 6);
@@ -417,46 +353,16 @@ func (cd *ClusterDeployment) Migrate(vnfName, target string) (MigrateReport, err
 	}
 	rep.Drained = stable >= 3
 	srcDep.node.Switch.WaitDatapathQuiescence()
-	rep.Cutover = time.Since(flipped)
+	rep.Cutover = time.Since(flipTime)
 	cd.mu.Lock()
 	cd.endMigration()
 
-	// Step 6: break. Converge tables onto the new desired state (deleting
-	// the stale old-path rules — the bypass manager dissolves their links
-	// with its own zero-loss drain), then retire the old VM and lanes.
-	cd.applySpecs(desired)
-	waitCond(func() bool {
-		for _, l := range srcDep.node.Switch.BypassLinks() {
-			if oldSet[l.From] || oldSet[l.To] {
-				return false
-			}
-		}
-		return true
-	})
+	// Step 6: break. Prune the stale old-path rules (the bypass manager
+	// dissolves their links with its own zero-loss drain), then retire the
+	// old VM and lanes.
+	cd.prune(desired)
+	waitCond(func() bool { return srcDep.bypassesOn(oldSet) == 0 })
 	srcDep.removeVNF(vnfName)
-	releaseSteers(retired)
+	c.releaseSteers(retired)
 	return rep, nil
-}
-
-// removeVNF retires one middle VNF from a local deployment: app stopped,
-// port mappings dropped, VM destroyed (which waits out the datapath and
-// frees parked frames). Rules are the caller's business.
-func (d *Deployment) removeVNF(name string) {
-	ids := d.vms[name]
-	if ids == nil {
-		return
-	}
-	for i, a := range d.apps {
-		if a.Name == name {
-			a.Stop()
-			d.apps = append(d.apps[:i], d.apps[i+1:]...)
-			break
-		}
-	}
-	d.detachConntrack(name)
-	delete(d.vms, name)
-	for i := range ids {
-		delete(d.portOf, graph.VNFPort(name, i))
-	}
-	_ = d.node.DestroyVM(name, ids)
 }

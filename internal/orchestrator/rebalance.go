@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -249,8 +250,8 @@ func (r *Rebalancer) planDeployment(cd *ClusterDeployment, loads []float64, excl
 	spines := cd.spines
 	instantiated := make(map[string]bool)
 	for _, d := range cd.deps {
-		for name := range d.vms {
-			instantiated[name] = true
+		for _, in := range d.insts {
+			instantiated[in.name] = true
 		}
 	}
 	cd.mu.Unlock()
@@ -356,14 +357,7 @@ func moveKey(cd *ClusterDeployment, vnf string) string {
 }
 
 // nodeIndex maps a node name to its position in cluster order.
-func (c *Cluster) nodeIndex(name string) int {
-	for i, n := range c.order {
-		if n == name {
-			return i
-		}
-	}
-	return 0
-}
+func (c *Cluster) nodeIndex(name string) int { return max(slices.Index(c.order, name), 0) }
 
 // loadSpread is the balance metric the damper compares: max minus min
 // per-node load across the eligible nodes.
@@ -428,7 +422,7 @@ func (cd *ClusterDeployment) drainFrom(node string) (int, error) {
 			if v.Kind.PortCount() != 2 {
 				continue
 			}
-			if _, ok := d.vms[v.Name]; !ok {
+			if d.inst(v.Name) == nil {
 				continue
 			}
 			evacuate = append(evacuate, v.Name)

@@ -125,7 +125,7 @@ func TestRebalanceCooldownPreventsPingPong(t *testing.T) {
 	if moved := r.pass([]float64{4, 0}); moved != 1 {
 		t.Fatalf("hot-a pass moved %d VNFs, want 1", moved)
 	}
-	if cd.Deployment("b") == nil || cd.Deployment("b").vms["vnf1"] == nil {
+	if cd.Deployment("b") == nil || cd.Deployment("b").inst("vnf1") == nil {
 		t.Fatal("vnf1 not moved to b")
 	}
 	// Load flips immediately: without the cooldown this would bounce vnf1
@@ -179,8 +179,8 @@ func TestDrainEvacuatesNode(t *testing.T) {
 	if moved != 4 {
 		t.Fatalf("drain moved %d VNFs, want 4", moved)
 	}
-	if d := cd.Deployment("c"); d != nil && len(d.vms) != 0 {
-		t.Fatalf("node c still hosts VMs after drain: %v", d.vms)
+	if d := cd.Deployment("c"); d != nil && len(d.insts) != 0 {
+		t.Fatalf("node c still hosts %d VMs after drain", len(d.insts))
 	}
 	if cs := c.CordonedNodes(); len(cs) != 1 || cs[0] != "c" {
 		t.Fatalf("drain did not cordon the node: %v", cs)
@@ -240,8 +240,8 @@ func TestCordonExcludesFromPlacement(t *testing.T) {
 			t.Fatalf("VNF %s placed on cordoned node c", v.Name)
 		}
 	}
-	if d := cd.Deployment("c"); d != nil && len(d.vms) != 0 {
-		t.Fatalf("cordoned node c hosts VMs: %v", d.vms)
+	if d := cd.Deployment("c"); d != nil && len(d.insts) != 0 {
+		t.Fatalf("cordoned node c hosts %d VMs", len(d.insts))
 	}
 
 	if err := c.Uncordon("c"); err != nil {

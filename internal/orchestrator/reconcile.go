@@ -43,69 +43,138 @@ func (cd *ClusterDeployment) desiredSpecs() (map[string][]flow.FlowSpec, error) 
 	return specs, nil
 }
 
-// cookiesOn returns the cookie values this deployment stamps on the given
-// node — the ownership filter for reading installed state back.
-func (cd *ClusterDeployment) cookiesOn(node string) map[uint64]bool {
-	mine := map[uint64]bool{cd.steerCookie: true}
-	if d := cd.deps[node]; d != nil {
-		mine[d.cookie] = true
-	}
-	return mine
+// ruleTarget is one node's share of a rule transaction: its table, the
+// cookies that mark the deployment's own rules there (the local deployment's
+// and, on cluster nodes, the relay steer cookie; 0 = unused), and the rules
+// the deployment wants on it.
+type ruleTarget struct {
+	node    *Node
+	cookies [2]uint64
+	want    []flow.FlowSpec
 }
 
-// installedOn snapshots the deployment's rules currently installed on a
-// node, keyed by rule slot.
-func (cd *ClusterDeployment) installedOn(node string) map[flowKey]*flow.Flow {
+// owns reports whether a rule carrying cookie belongs to the deployment —
+// co-resident deployments' and controller flows are invisible to it.
+func (t ruleTarget) owns(cookie uint64) bool {
+	return cookie != 0 && (cookie == t.cookies[0] || cookie == t.cookies[1])
+}
+
+// target is the single-node rule target of a local deployment.
+func (d *Deployment) target(want []flow.FlowSpec) ruleTarget {
+	return ruleTarget{node: d.node, cookies: [2]uint64{d.cookie}, want: want}
+}
+
+// targets spreads desired over every cluster node, in node order.
+func (cd *ClusterDeployment) targets(desired map[string][]flow.FlowSpec) []ruleTarget {
+	ts := make([]ruleTarget, 0, len(cd.cluster.order))
+	for _, name := range cd.cluster.order {
+		t := ruleTarget{node: cd.cluster.nodes[name], cookies: [2]uint64{cd.steerCookie}, want: desired[name]}
+		if d := cd.deps[name]; d != nil {
+			t.cookies[1] = d.cookie
+		}
+		ts = append(ts, t)
+	}
+	return ts
+}
+
+// installedOn snapshots the deployment's rules currently installed on the
+// target's node, keyed by rule slot.
+func installedOn(t ruleTarget) map[flowKey]*flow.Flow {
 	installed := make(map[flowKey]*flow.Flow)
-	mine := cd.cookiesOn(node)
-	for _, f := range cd.cluster.nodes[node].Switch.Table().Snapshot() {
-		if mine[f.Cookie] {
+	for _, f := range t.node.Switch.Table().Snapshot() {
+		if t.owns(f.Cookie) {
 			installed[flowKey{f.Priority, f.Match}] = f
 		}
 	}
 	return installed
 }
 
-// applySpecs converges every node's installed rules onto desired: missing
-// or diverged slots are (re)installed — Add replacement semantics make each
-// fix atomic per slot — and slots installed but no longer desired are
-// deleted. Returns the number of mutations. Caller holds cd.mu.
-func (cd *ClusterDeployment) applySpecs(desired map[string][]flow.FlowSpec) int {
-	repairs := 0
-	for _, node := range cd.cluster.order {
-		installed := cd.installedOn(node)
-		want := desired[node]
-		wantKeys := make(map[flowKey]bool, len(want))
-		var add []flow.FlowSpec
-		for _, sp := range want {
-			k := flowKey{sp.Priority, sp.Match}
-			wantKeys[k] = true
-			f, ok := installed[k]
-			if !ok || f.Cookie != sp.Cookie || !f.Actions.Equal(sp.Actions) {
-				add = append(add, sp)
+// installRules is the additive half of a rule transaction and the only
+// place steering rules enter a table: every wanted rule that is missing or
+// diverged is (re)installed, one batch — one classifier rebuild — per node.
+// Rules occupying fresh slots go in on ALL nodes before any rule replacing
+// an installed slot: a replacement is an atomic per-slot flip (the old rule
+// is death-marked), so whatever the flips start steering already finds its
+// whole new path — make-before-break. Nothing is deleted; that is
+// pruneRules.
+//
+// live says the deployment's generators are running. The ports and trunk
+// NICs the rules name were added earlier in the same transaction, but a PMD
+// iteration that began before that still forwards against its older port
+// snapshot, and a rule naming a port it cannot see outputs to nowhere — the
+// burst in its hands would be dropped (DatapathStats.OutputNowhere). So a
+// live install first lets the forwarding threads of exactly the nodes about
+// to receive a rule start a new iteration. A first Deploy starts its
+// generators after this returns and never pays that wait.
+//
+// Returns the number of rules installed.
+func installRules(ts []ruleTarget, live bool) int {
+	fresh := make([][]flow.FlowSpec, len(ts))
+	flips := make([][]flow.FlowSpec, len(ts))
+	n := 0
+	for i, t := range ts {
+		if len(t.want) == 0 {
+			continue
+		}
+		installed := installedOn(t)
+		for _, sp := range t.want {
+			f, ok := installed[flowKey{sp.Priority, sp.Match}]
+			switch {
+			case !ok:
+				fresh[i] = append(fresh[i], sp)
+			case f.Cookie != sp.Cookie || !f.Actions.Equal(sp.Actions):
+				flips[i] = append(flips[i], sp)
 			}
 		}
-		table := cd.cluster.nodes[node].Switch.Table()
-		if len(add) > 0 {
-			table.AddBatch(add)
-			repairs += len(add)
-		}
-		for k := range installed {
-			if !wantKeys[k] && table.DeleteStrict(k.prio, k.m) {
-				repairs++
+		if k := len(fresh[i]) + len(flips[i]); k > 0 {
+			n += k
+			if live {
+				t.node.Switch.WaitDatapathQuiescence()
 			}
 		}
 	}
-	return repairs
+	for _, batch := range [][][]flow.FlowSpec{fresh, flips} {
+		for i, t := range ts {
+			t.node.Switch.Table().AddBatch(batch[i])
+		}
+	}
+	return n
 }
 
-// Reconcile runs one convergence pass over this deployment: repair the
-// trunk fabric first (recreate vanished adjacencies, rebuild failed bundle
-// slots in place, re-register missing lanes), then re-derive the desired
-// rule set against the repaired ports and converge every node's flow table
-// onto it. Returns the number of repairs made — zero means the pass found
-// reality matching intent. Safe to call concurrently with traffic; it
-// never touches the PMD hot path, only the tables the datapath snapshots.
+// pruneRules is the subtractive half: every rule of the deployment that is
+// installed but no longer wanted is deleted. Returns the number deleted.
+func pruneRules(ts []ruleTarget) int {
+	n := 0
+	for _, t := range ts {
+		want := make(map[flowKey]bool, len(t.want))
+		for _, sp := range t.want {
+			want[flowKey{sp.Priority, sp.Match}] = true
+		}
+		n += t.node.Switch.Table().DeleteWhere(func(f *flow.Flow) bool {
+			return t.owns(f.Cookie) && !want[flowKey{f.Priority, f.Match}]
+		})
+	}
+	return n
+}
+
+// install and prune run the rule transaction over every cluster node.
+// Caller holds cd.mu.
+func (cd *ClusterDeployment) install(desired map[string][]flow.FlowSpec) int {
+	return installRules(cd.targets(desired), cd.live)
+}
+
+func (cd *ClusterDeployment) prune(desired map[string][]flow.FlowSpec) int {
+	return pruneRules(cd.targets(desired))
+}
+
+// Reconcile runs one convergence pass over this deployment: realize every
+// lane again (recreate vanished adjacencies, rebuild failed bundle slots in
+// place, re-register missing lanes), then re-derive the desired rule set
+// against the repaired ports, install what is missing or diverged and prune
+// what is no longer wanted. Returns the number of repairs made — zero means
+// the pass found reality matching intent. Safe to call concurrently with
+// traffic; it never touches the PMD hot path, only the tables the datapath
+// snapshots.
 func (cd *ClusterDeployment) Reconcile() (int, error) {
 	cd.mu.Lock()
 	defer cd.mu.Unlock()
@@ -117,41 +186,19 @@ func (cd *ClusterDeployment) Reconcile() (int, error) {
 		// already reflects the new layout, but the stale old-path rules
 		// must survive until the drain completes. Converging now would
 		// delete them mid-drain and drop the packets they are carrying,
-		// so the pass defers; the migration itself converges the tables
-		// in its step 6.
+		// so the pass defers; the migration itself prunes the tables when
+		// its drain ends.
 		return 0, nil
 	}
 	repairs := 0
 	c := cd.cluster
 	c.mu.Lock()
-	for _, st := range cd.steers {
-		for _, path := range st.paths {
-			for _, pair := range path {
-				ct, ok := c.trunks[pair]
-				if !ok {
-					var err error
-					ct, err = c.ensureTrunk(pair, cd.tcfg)
-					if err != nil {
-						c.mu.Unlock()
-						return repairs, err
-					}
-					repairs++
-				} else {
-					n, err := c.repairTrunkLocked(ct)
-					repairs += n
-					if err != nil {
-						c.mu.Unlock()
-						return repairs, err
-					}
-				}
-				if !ct.lanes[st.vid] {
-					if err := ct.addLaneLocked(st.vid); err != nil {
-						c.mu.Unlock()
-						return repairs, err
-					}
-					repairs++
-				}
-			}
+	for i := range cd.steers {
+		n, err := c.realizeLane(&cd.steers[i], cd.spines, cd.tcfg)
+		repairs += n
+		if err != nil {
+			c.mu.Unlock()
+			return repairs, err
 		}
 	}
 	c.mu.Unlock()
@@ -159,7 +206,7 @@ func (cd *ClusterDeployment) Reconcile() (int, error) {
 	if err != nil {
 		return repairs, err
 	}
-	return repairs + cd.applySpecs(desired), nil
+	return repairs + cd.install(desired) + cd.prune(desired), nil
 }
 
 // deploymentsSorted snapshots the live deployments in creation order (the

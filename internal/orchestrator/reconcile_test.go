@@ -299,32 +299,9 @@ func TestMigrateZeroLossOrchestrator(t *testing.T) {
 	waitRecv(t, cd, "end1", 1000)
 
 	settle := func() int64 {
-		e0, e1 := cd.SrcSink("end0"), cd.SrcSink("end1")
-		e0.SetPaused(true)
-		e1.SetPaused(true)
-		ledger := func() uint64 {
-			return e0.Sent.Load() + e0.Received.Load() + e1.Sent.Load() + e1.Received.Load()
-		}
-		// Sustained quiet, not just two equal samples: a packet parked
-		// behind a stalled goroutine (the race detector deschedules
-		// aggressively) moves no counter for several milliseconds.
-		deadline := time.Now().Add(2 * time.Second)
-		prev := ledger()
-		stable := 0
-		for time.Now().Before(deadline) && stable < 8 {
-			time.Sleep(5 * time.Millisecond)
-			cur := ledger()
-			if cur == prev {
-				stable++
-			} else {
-				stable = 0
-				prev = cur
-			}
-		}
-		inflight := e0.InFlight() + e1.InFlight()
-		e0.SetPaused(false)
-		e1.SetPaused(false)
-		return inflight
+		inFlight := settleEnds(cd, "end0", "end1")
+		pauseEnds(cd, false, "end0", "end1")
+		return inFlight
 	}
 
 	l0 := settle()
@@ -343,10 +320,10 @@ func TestMigrateZeroLossOrchestrator(t *testing.T) {
 		t.Fatalf("migration lost %d packets (ledger %d → %d)", lost, l0, l1)
 	}
 	// The moved VNF now lives on the target; the chain still delivers.
-	if cd.Deployment("c") == nil || cd.Deployment("c").vms["vnf2"] == nil {
+	if cd.Deployment("c") == nil || cd.Deployment("c").inst("vnf2") == nil {
 		t.Fatal("vnf2 not instantiated on the target node")
 	}
-	if d := cd.Deployment("a"); d != nil && d.vms["vnf2"] != nil {
+	if d := cd.Deployment("a"); d != nil && d.inst("vnf2") != nil {
 		t.Fatal("vnf2 still instantiated on the source node")
 	}
 	base := cd.SrcSink("end1").Received.Load()

@@ -38,8 +38,10 @@ type SrcSink struct {
 	// experiment's zero-loss bookkeeping).
 	paused atomic.Bool
 
-	stop atomic.Bool
-	done chan struct{}
+	templates [][]byte
+	batch     int
+
+	lcore
 }
 
 // SrcSinkConfig parametrizes NewSrcSink.
@@ -58,27 +60,14 @@ type SrcSinkConfig struct {
 	RatePps float64
 }
 
-// NewSrcSink starts a bidirectional endpoint.
+// NewSrcSink builds a stopped bidirectional endpoint.
 func NewSrcSink(cfg SrcSinkConfig) (*SrcSink, error) {
-	if cfg.Flows < 1 {
-		cfg.Flows = 1
-	}
 	if cfg.Batch == 0 {
 		cfg.Batch = 32
 	}
-	if cfg.Spec.FrameLen == 0 {
-		cfg.Spec.FrameLen = pkt.MinFrame
-	}
-	templates := make([][]byte, cfg.Flows)
-	for i := range templates {
-		sp := cfg.Spec
-		sp.SrcPort = cfg.Spec.SrcPort + uint16(i)
-		buf := make([]byte, 2048)
-		n, err := pkt.BuildUDP(buf, sp)
-		if err != nil {
-			return nil, err
-		}
-		templates[i] = buf[:n]
+	templates, err := frameTemplates(cfg.Spec, cfg.Flows)
+	if err != nil {
+		return nil, err
 	}
 	s := &SrcSink{
 		Name:      cfg.Name,
@@ -86,15 +75,18 @@ func NewSrcSink(cfg SrcSinkConfig) (*SrcSink, error) {
 		pool:      cfg.Pool,
 		timestamp: cfg.Timestamp,
 		rate:      cfg.RatePps,
-		done:      make(chan struct{}),
+		templates: templates,
+		batch:     cfg.Batch,
 	}
 	s.start.Store(time.Now().UnixNano())
-	go s.run(templates, cfg.Batch)
 	return s, nil
 }
 
-func (s *SrcSink) run(templates [][]byte, batchSize int) {
-	defer close(s.done)
+// Start launches the endpoint: generation and termination begin together.
+func (s *SrcSink) Start() { s.lcore.start(s.run) }
+
+func (s *SrcSink) run() {
+	templates, batchSize := s.templates, s.batch
 	txBatch := make([]*mempool.Buf, batchSize)
 	rxBatch := make([]*mempool.Buf, batchSize)
 	next := 0
@@ -178,13 +170,6 @@ func (s *SrcSink) run(templates [][]byte, batchSize int) {
 		if !work {
 			runtime.Gosched()
 		}
-	}
-}
-
-// Stop halts the endpoint.
-func (s *SrcSink) Stop() {
-	if s.stop.CompareAndSwap(false, true) {
-		<-s.done
 	}
 }
 

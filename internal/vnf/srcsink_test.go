@@ -20,6 +20,7 @@ func TestSrcSinkGeneratesAndTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss.Start()
 	defer ss.Stop()
 
 	// Echo generated frames straight back at the endpoint.
@@ -63,6 +64,7 @@ func TestSrcSinkLatencySampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss.Start()
 	defer ss.Stop()
 
 	batch := make([]*mempool.Buf, 32)

@@ -17,6 +17,10 @@ type Source struct {
 	app    *App
 	Sent   atomic.Uint64
 	paused atomic.Bool
+
+	port      *dpdkr.PMD
+	templates [][]byte
+	rate      float64
 }
 
 // SetPaused gates generation (stray-receive draining continues). A paused
@@ -24,27 +28,14 @@ type Source struct {
 // landed, Sent equals the downstream sink's Received exactly.
 func (s *Source) SetPaused(p bool) { s.paused.Store(p) }
 
-// NewSource builds a one-port generator app. flows is the number of distinct
-// UDP source ports to cycle through (≥1), exercising the EMC with a small
-// flow set as the paper's pktgen does.
-func NewSource(name string, port *dpdkr.PMD, pool *mempool.Pool, spec pkt.UDPSpec, flows int) (*Source, error) {
-	return NewSourcePaced(name, port, pool, spec, flows, 0)
-}
-
-// NewSourcePaced is NewSource with a packets-per-second budget (0 = as fast
-// as the chain absorbs, the classic source). Pacing is credit-based like the
-// SrcSink's: credits accrue with wall time and are capped at a small burst,
-// so a stall does not bank an unbounded backlog.
-func NewSourcePaced(name string, port *dpdkr.PMD, pool *mempool.Pool, spec pkt.UDPSpec, flows int, ratePps float64) (*Source, error) {
-	if flows < 1 {
-		flows = 1
-	}
-	s := &Source{}
-	// Pre-build the frame templates once; the hot loop only copies.
+// frameTemplates pre-builds one frame per flow (distinct UDP source ports,
+// exercising the EMC with a small flow set as the paper's pktgen does); the
+// generators' hot loops only copy.
+func frameTemplates(spec pkt.UDPSpec, flows int) ([][]byte, error) {
 	if spec.FrameLen == 0 {
 		spec.FrameLen = pkt.MinFrame
 	}
-	templates := make([][]byte, flows)
+	templates := make([][]byte, max(flows, 1))
 	for i := range templates {
 		sp := spec
 		sp.SrcPort = spec.SrcPort + uint16(i)
@@ -55,7 +46,19 @@ func NewSourcePaced(name string, port *dpdkr.PMD, pool *mempool.Pool, spec pkt.U
 		}
 		templates[i] = buf[:n]
 	}
-	next := 0
+	return templates, nil
+}
+
+// NewSource builds a stopped one-port generator app cycling through flows
+// distinct UDP source ports (≥1). ratePps is a packets-per-second budget
+// (0 = as fast as the chain absorbs). Pacing is credit-based like the
+// SrcSink's: credits accrue with wall time and are capped at a small burst,
+// so a stall does not bank an unbounded backlog.
+func NewSource(name string, port *dpdkr.PMD, pool *mempool.Pool, spec pkt.UDPSpec, flows int, ratePps float64) (*Source, error) {
+	templates, err := frameTemplates(spec, flows)
+	if err != nil {
+		return nil, err
+	}
 	handler := func(ctx *Ctx, inPort int, bufs []*mempool.Buf) {
 		// A source has no input; it only drains stray receives.
 		ctx.Drop(bufs)
@@ -64,73 +67,77 @@ func NewSourcePaced(name string, port *dpdkr.PMD, pool *mempool.Pool, spec pkt.U
 	if err != nil {
 		return nil, err
 	}
-	s.app = app
-	// Replace the run loop: generators push rather than poll.
-	go func() {
-		defer close(app.done)
-		batch := make([]*mempool.Buf, app.batch)
-		credits := 0.0
-		last := time.Now()
-		for !app.stop.Load() {
-			if s.paused.Load() {
-				drain(port)
-				last = time.Now()
-				credits = 0
-				runtime.Gosched()
-				continue
+	return &Source{app: app, port: port, templates: templates, rate: ratePps}, nil
+}
+
+// Start launches the generator. It replaces the app's run loop: generators
+// push rather than poll.
+func (s *Source) Start() { s.app.start(s.run) }
+
+func (s *Source) run() {
+	app, port := s.app, s.port
+	batch := make([]*mempool.Buf, app.batch)
+	next := 0
+	credits := 0.0
+	last := time.Now()
+	for !app.stop.Load() {
+		if s.paused.Load() {
+			drain(port)
+			last = time.Now()
+			credits = 0
+			runtime.Gosched()
+			continue
+		}
+		want := app.batch
+		if s.rate > 0 {
+			now := time.Now()
+			credits += now.Sub(last).Seconds() * s.rate
+			last = now
+			if cap := float64(2 * app.batch); credits > cap {
+				credits = cap
 			}
-			want := app.batch
-			if ratePps > 0 {
-				now := time.Now()
-				credits += now.Sub(last).Seconds() * ratePps
-				last = now
-				if cap := float64(2 * app.batch); credits > cap {
-					credits = cap
-				}
-				if credits < 1 {
-					if drain(port) == 0 {
-						runtime.Gosched()
-					}
-					continue
-				}
-				if want > int(credits) {
-					want = int(credits)
-				}
-			}
-			n := pool.GetBatch(batch[:want])
-			if n == 0 {
-				// Pool exhausted: the chain is saturated. Yield instead of
-				// spinning — on few-core hosts a spinning source starves the
-				// consumers whose frees would refill the pool.
+			if credits < 1 {
 				if drain(port) == 0 {
 					runtime.Gosched()
 				}
 				continue
 			}
-			for i := 0; i < n; i++ {
-				batch[i].SetBytes(templates[next])
-				next++
-				if next == len(templates) {
-					next = 0
-				}
-			}
-			sent := port.Tx(batch[:n])
-			if sent < n {
-				mempool.FreeBatch(batch[sent:n])
-			}
-			s.Sent.Add(uint64(sent))
-			if ratePps > 0 {
-				credits -= float64(sent)
-			}
-			if sent == 0 {
-				// Ring full: back off until the downstream consumer runs.
-				if drain(port) == 0 {
-					runtime.Gosched()
-				}
+			if want > int(credits) {
+				want = int(credits)
 			}
 		}
-	}()
-	return s, nil
+		n := app.pool.GetBatch(batch[:want])
+		if n == 0 {
+			// Pool exhausted: the chain is saturated. Yield instead of
+			// spinning — on few-core hosts a spinning source starves the
+			// consumers whose frees would refill the pool.
+			if drain(port) == 0 {
+				runtime.Gosched()
+			}
+			continue
+		}
+		for i := 0; i < n; i++ {
+			batch[i].SetBytes(s.templates[next])
+			next++
+			if next == len(s.templates) {
+				next = 0
+			}
+		}
+		sent := port.Tx(batch[:n])
+		if sent < n {
+			mempool.FreeBatch(batch[sent:n])
+		}
+		s.Sent.Add(uint64(sent))
+		if s.rate > 0 {
+			credits -= float64(sent)
+		}
+		if sent == 0 {
+			// Ring full: back off until the downstream consumer runs.
+			if drain(port) == 0 {
+				runtime.Gosched()
+			}
+		}
+	}
 }
 
 // drain consumes and discards anything arriving at a generator port (e.g.
@@ -145,10 +152,7 @@ func drain(pmd *dpdkr.PMD) int {
 }
 
 // Stop halts the generator.
-func (s *Source) Stop() {
-	s.app.stop.Store(true)
-	<-s.app.done
-}
+func (s *Source) Stop() { s.app.Stop() }
 
 // Sink is a traffic-terminating VNF: the last VM of a memory-only chain.
 // It counts and frees everything it receives, and computes receive rate.
@@ -159,7 +163,7 @@ type Sink struct {
 	start    time.Time
 }
 
-// NewSink builds a one-port sink app.
+// NewSink builds a stopped one-port sink app.
 func NewSink(name string, port *dpdkr.PMD, pool *mempool.Pool) (*Sink, error) {
 	s := &Sink{start: time.Now()}
 	handler := func(ctx *Ctx, inPort int, bufs []*mempool.Buf) {
@@ -176,9 +180,11 @@ func NewSink(name string, port *dpdkr.PMD, pool *mempool.Pool) (*Sink, error) {
 		return nil, err
 	}
 	s.app = app
-	app.Start()
 	return s, nil
 }
+
+// Start launches the sink.
+func (s *Sink) Start() { s.app.Start() }
 
 // Stop halts the sink.
 func (s *Sink) Stop() { s.app.Stop() }

@@ -50,6 +50,32 @@ func (c *Ctx) Drop(bufs []*mempool.Buf) {
 // Pool returns the app's buffer pool (for handlers that synthesize packets).
 func (c *Ctx) Pool() *mempool.Pool { return c.app.pool }
 
+// lcore is the goroutine lifecycle every VNF shares: built stopped, started
+// once by whoever deploys it (traffic endpoints only after the last steering
+// rule is in), stopped once.
+type lcore struct {
+	stop, started atomic.Bool
+	done          chan struct{}
+}
+
+// start launches loop as the lcore goroutine.
+func (l *lcore) start(loop func()) {
+	l.done = make(chan struct{})
+	l.started.Store(true)
+	go func() {
+		defer close(l.done)
+		loop()
+	}()
+}
+
+// Stop halts the loop and waits for it to exit (a never-started one has
+// nothing to wait for).
+func (l *lcore) Stop() {
+	if l.stop.CompareAndSwap(false, true) && l.started.Load() {
+		<-l.done
+	}
+}
+
 // App is one VNF instance: a set of dpdkr ports driven by a single lcore
 // goroutine.
 type App struct {
@@ -65,8 +91,7 @@ type App struct {
 	TxDrops   atomic.Uint64
 	Dropped   atomic.Uint64
 
-	stop atomic.Bool
-	done chan struct{}
+	lcore
 }
 
 // Config parametrizes an App.
@@ -95,24 +120,13 @@ func New(cfg Config) (*App, error) {
 		pool:    cfg.Pool,
 		batch:   cfg.Batch,
 		handler: cfg.Handler,
-		done:    make(chan struct{}),
 	}, nil
 }
 
 // Start launches the lcore goroutine.
-func (a *App) Start() {
-	go a.run()
-}
-
-// Stop halts the loop and waits for it to exit.
-func (a *App) Stop() {
-	if a.stop.CompareAndSwap(false, true) {
-		<-a.done
-	}
-}
+func (a *App) Start() { a.start(a.run) }
 
 func (a *App) run() {
-	defer close(a.done)
 	ctx := &Ctx{app: a}
 	batch := make([]*mempool.Buf, a.batch)
 	for !a.stop.Load() {

@@ -1,6 +1,7 @@
 package vnf
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -90,6 +91,11 @@ func TestForwarderMovesBothDirections(t *testing.T) {
 	}
 	b.Free()
 
+	// Ctx.Tx bumps TxPackets after the ring write the host just observed:
+	// wait on the counter, not on the packet.
+	for deadline := time.Now().Add(time.Second); app.TxPackets.Load() < 2 && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
 	if app.RxPackets.Load() != 2 || app.TxPackets.Load() != 2 {
 		t.Fatalf("app counters rx=%d tx=%d", app.RxPackets.Load(), app.TxPackets.Load())
 	}
@@ -239,15 +245,17 @@ func TestSourceSinkPair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	src, err := NewSource("src", srcPMD, pl, spec, 4)
+	src, err := NewSource("src", srcPMD, pl, spec, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	src.Start()
 	defer src.Stop()
 	sink, err := NewSink("dst", sinkPMD, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink.Start()
 	defer sink.Stop()
 
 	// Shuttle what the source emits into the sink's normal channel by hand

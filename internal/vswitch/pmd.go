@@ -73,6 +73,10 @@ type pmdThread struct {
 	// swapping the snapshot (see Switch.WaitDatapathQuiescence and the
 	// quiesce step of Switch.MoveQueue).
 	iters atomic.Uint64
+	// testPark, when set, runs each iteration between loading the port
+	// snapshot and polling: tests use it to hold an iteration open on a
+	// stale snapshot while the control plane moves on.
+	testPark atomic.Pointer[func()]
 
 	// busyNanos/totalNanos implement the pmd-auto-lb load signal: busy is
 	// time spent inside processBatch, total is wall time across whole loop
@@ -180,6 +184,9 @@ func (p *pmdThread) poll() int {
 	// against, so a queue and its destinations always come from the same
 	// generation.
 	asg := p.s.asgSnap.Load()
+	if park := p.testPark.Load(); park != nil {
+		(*park)()
+	}
 	frames := 0
 	for qi, q := range asg.ports.queues {
 		if asg.owner[qi] != p.idx {
@@ -647,16 +654,19 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 		}
 	}
 	if !moved {
-		p.freeGroup(g)
+		p.s.OutputNowhere.Add(p.freeGroup(g))
 	}
 }
 
-// freeGroup frees every live buffer in the group chain.
-func (p *pmdThread) freeGroup(g *flowGroup) {
+// freeGroup frees every live buffer in the group chain and returns how many
+// there were.
+func (p *pmdThread) freeGroup(g *flowGroup) (freed uint64) {
 	for i := g.first; i >= 0; i = p.metas[i].next {
 		if m := &p.metas[i]; m.buf != nil {
 			m.buf.Free()
 			m.buf = nil
+			freed++
 		}
 	}
+	return freed
 }

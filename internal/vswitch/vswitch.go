@@ -311,6 +311,11 @@ type Switch struct {
 	Misses atomic.Uint64
 	// TableMisses counts packets that matched no flow at all.
 	TableMisses atomic.Uint64
+	// OutputNowhere counts frames that matched a flow whose actions moved
+	// them nowhere and were freed: an output port absent from the PMD's port
+	// snapshot, every path of an ECMP bundle down, or an action list with no
+	// output at all. Explicit drop actions are not counted.
+	OutputNowhere atomic.Uint64
 	// DedupHits counts within-batch duplicate misses resolved from an
 	// earlier packet of the same batch instead of a second classifier walk.
 	DedupHits atomic.Uint64
@@ -743,6 +748,10 @@ type DatapathStats struct {
 	ClassifierMisses uint64
 	DedupHits        uint64
 	ParseErrors      uint64
+	// OutputNowhere counts frames a matched flow's actions left nowhere to
+	// go (see Switch.OutputNowhere) — a burst lost to a stale port snapshot
+	// shows up here.
+	OutputNowhere uint64
 	// ECMPRepicks counts adaptive multipath avoid-set changes in the window.
 	ECMPRepicks uint64
 	// PMDs and Queues carry the per-thread and per-queue load samples
@@ -768,6 +777,7 @@ func (s DatapathStats) Delta(prev DatapathStats) DatapathStats {
 		ClassifierMisses: s.ClassifierMisses - prev.ClassifierMisses,
 		DedupHits:        s.DedupHits - prev.DedupHits,
 		ParseErrors:      s.ParseErrors - prev.ParseErrors,
+		OutputNowhere:    s.OutputNowhere - prev.OutputNowhere,
 		ECMPRepicks:      s.ECMPRepicks - prev.ECMPRepicks,
 		Conntrack:        s.Conntrack.Delta(prev.Conntrack),
 	}
@@ -839,6 +849,7 @@ func (s *Switch) DatapathStats() DatapathStats {
 		ClassifierMisses: tableMisses,
 		DedupHits:        s.DedupHits.Load(),
 		ParseErrors:      s.ParseErrors.Load(),
+		OutputNowhere:    s.OutputNowhere.Load(),
 		ECMPRepicks:      s.ECMPRepicks.Load(),
 		PMDs:             s.PMDLoads(),
 		Queues:           s.QueueLoads(),

@@ -28,6 +28,13 @@ func TestStatefulChainSplitLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sc.Stop()
+	// The source starts after the last steering rule: no packet of the
+	// deployment ever faces a table without its rule.
+	for _, name := range c.NodeNames() {
+		if dp := c.Internal().Node(name).Switch.DatapathStats(); dp.ClassifierMisses != 0 || dp.OutputNowhere != 0 {
+			t.Fatalf("%s: deploy left %d table misses, %d frames output to nowhere", name, dp.ClassifierMisses, dp.OutputNowhere)
+		}
+	}
 
 	// The balanced placement must split the 5 VNFs across both nodes.
 	hosts := 0
@@ -67,22 +74,14 @@ func TestStatefulChainSplitLedger(t *testing.T) {
 		t.Fatalf("balancer pinned %d connections, want 32", got)
 	}
 
-	// Conservation ledger: pause, drain, compare. Every packet the ledger is
-	// short of must be one a drop counter along the path owns up to; the
-	// report names the layer either way. The one named loss known today is
-	// start-up table misses on the client's node — its source starts before
-	// the deployment's last steering rule is in (ROADMAP open item 3) — so
-	// that is logged, and anything no counter names fails.
+	// Conservation ledger: pause, drain, compare. A paced chain whose source
+	// started after its last rule loses nothing; if it does, the report
+	// names the layer.
 	sc.Pause(true)
-	inFlight := sc.Settle(5 * time.Second)
-	named, report := namedDrops(c, sc)
-	if inFlight != int64(named) {
-		t.Fatalf("ledger did not close: %d packets unaccounted, drop counters name %d (sent=%d received=%d)\n%s",
+	if inFlight := sc.Settle(5 * time.Second); inFlight != 0 {
+		named, report := namedDrops(c, sc)
+		t.Fatalf("ledger did not close: %d packets lost, drop counters name %d (sent=%d received=%d)\n%s",
 			inFlight, named, sc.Sent(), sc.Received(), report)
-	}
-	if inFlight != 0 {
-		t.Logf("ledger closed only against the drop counters: %d packets lost (sent=%d received=%d)\n%s",
-			inFlight, sc.Sent(), sc.Received(), report)
 	}
 }
 
@@ -99,9 +98,9 @@ func namedDrops(c *Cluster, sc *StatefulChain) (total uint64, report string) {
 			txDropped += ps.TxDropped
 			rxDropped += ps.RxDropped
 		}
-		total += dp.ParseErrors + dp.ClassifierMisses + txDropped + rxDropped
-		fmt.Fprintf(&b, "  %s vswitch: parse errors %d, table misses %d, port tx-dropped %d rx-dropped %d (pool alloc fails %d)\n",
-			name, dp.ParseErrors, dp.ClassifierMisses, txDropped, rxDropped, node.Pool.Stats().Fails)
+		total += dp.ParseErrors + dp.ClassifierMisses + dp.OutputNowhere + txDropped + rxDropped
+		fmt.Fprintf(&b, "  %s vswitch: parse errors %d, table misses %d, output to nowhere %d, port tx-dropped %d rx-dropped %d (pool alloc fails %d)\n",
+			name, dp.ParseErrors, dp.ClassifierMisses, dp.OutputNowhere, txDropped, rxDropped, node.Pool.Stats().Fails)
 	}
 	for _, tr := range sc.Deployment().Internal().Trunks() {
 		ab, ba := tr.Stats()
