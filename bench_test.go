@@ -304,15 +304,16 @@ func BenchmarkEMCLookup(b *testing.B) {
 	f := tb.Add(10, flow.MatchInPort(1), flow.Actions{flow.Output(2)}, 0)
 	key := flow.Key{InPort: 1, EthType: 0x0800, IPProto: 17, L4Src: 5000, L4Dst: 9000}
 	kp := key.Pack()
-	hash := kp.Hash()
+	hash64 := kp.Hash64()
+	hash := uint32(hash64)
 	gen := tb.Generation()
 	b.Run("emc", func(b *testing.B) {
 		emc := flow.NewEMC(8192)
-		emc.Insert(kp, hash, f, gen)
+		emc.Put(&kp, hash64, f, gen)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if emc.Lookup(kp, hash, gen) == nil {
+			if emc.Probe(&kp, hash64, gen) == nil {
 				b.Fatal("unexpected EMC miss")
 			}
 		}
@@ -358,11 +359,11 @@ func BenchmarkLookupChurn(b *testing.B) {
 				return tb.Generation()
 			}
 			kps := make([]flow.Packed, trafficKeys)
-			hashes := make([]uint32, trafficKeys)
+			hashes := make([]uint64, trafficKeys)
 			for i := range kps {
 				k := flow.Key{InPort: 1, EthType: 0x0800, IPProto: 17, L4Src: uint16(i), L4Dst: 9000}
 				kps[i] = k.Pack()
-				hashes[i] = kps[i].Hash()
+				hashes[i] = kps[i].Hash64()
 			}
 			emc := flow.NewEMC(8192)
 			nextVictim := 0
@@ -384,11 +385,11 @@ func BenchmarkLookupChurn(b *testing.B) {
 				}
 				j := i % trafficKeys
 				g := gen()
-				f := emc.Lookup(kps[j], hashes[j], g)
+				f := emc.Probe(&kps[j], hashes[j], g)
 				if f != nil {
 					hits++
 				} else if f = tb.LookupPacked(&kps[j]); f != nil {
-					emc.Insert(kps[j], hashes[j], f, g)
+					emc.Put(&kps[j], hashes[j], f, g)
 				}
 				lookups++
 			}
@@ -709,8 +710,10 @@ var stageSink uint64
 
 // BenchmarkStage times the per-packet stages of one vSwitch hop, each alone
 // on the calling goroutine (no switch thread, no hand-off), one packet per
-// op: parse the frame, pack its key straight from the frame, hash the key,
-// probe the EMC. They are the deterministic lines CI holds to the committed
+// op: parse the frame, pack its key straight from the frame and hash it in
+// the same pass (packframe — what the datapath calls), hash a stored key
+// (hash64 — what the control plane and the adapters call), probe the EMC in
+// place. They are the deterministic lines CI holds to the committed
 // baseline (BENCH_base.txt), and they must not allocate. The hash seed is
 // pinned so every run probes the same EMC sets.
 func BenchmarkStage(b *testing.B) {
@@ -723,7 +726,7 @@ func BenchmarkStage(b *testing.B) {
 	frames := make([][]byte, stageFlows)
 	parsers := make([]pkt.Parser, stageFlows)
 	kps := make([]flow.Packed, stageFlows)
-	hashes := make([]uint32, stageFlows)
+	hashes := make([]uint64, stageFlows)
 	for i := range frames {
 		spec.SrcPort = uint16(1000 + i)
 		raw := make([]byte, 64)
@@ -735,9 +738,8 @@ func BenchmarkStage(b *testing.B) {
 		if err := parsers[i].Parse(frames[i]); err != nil {
 			b.Fatal(err)
 		}
-		flow.PackFrame(&parsers[i], frames[i], 1, &kps[i])
-		hashes[i] = kps[i].Hash()
-		if _, _, evicted := emc.Insert(kps[i], hashes[i], f, gen); evicted {
+		hashes[i] = flow.PackFrame(&parsers[i], frames[i], 1, &kps[i])
+		if _, evicted := emc.Put(&kps[i], hashes[i], f, gen); evicted {
 			b.Fatalf("flow %d evicted another from its EMC set: the working set must stay resident", i)
 		}
 	}
@@ -755,7 +757,7 @@ func BenchmarkStage(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			j := i % stageFlows
-			flow.PackFrame(&parsers[j], frames[j], 1, &kp)
+			stageSink += flow.PackFrame(&parsers[j], frames[j], 1, &kp)
 		}
 		stageSink += uint64(kp[31])
 	})
@@ -769,7 +771,7 @@ func BenchmarkStage(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			j := i % stageFlows
-			if emc.Lookup(kps[j], hashes[j], gen) == nil {
+			if emc.Probe(&kps[j], hashes[j], gen) == nil {
 				b.Fatal("unexpected EMC miss")
 			}
 		}

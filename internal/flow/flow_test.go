@@ -399,24 +399,28 @@ func TestEMCHitMissFlush(t *testing.T) {
 
 	k := key(1, 11, 22, pkt.ProtoUDP, 1, 2)
 	kp := k.Pack()
-	h := kp.Hash()
+	h := kp.Hash64()
 	v := tb.Version()
 
-	if got := c.Lookup(kp, h, v); got != nil {
+	if got := c.Probe(&kp, h, v); got != nil {
 		t.Fatal("cold cache hit")
 	}
-	c.Insert(kp, h, fl, v)
-	if got := c.Lookup(kp, h, v); got != fl {
+	c.Put(&kp, h, fl, v)
+	if got := c.Probe(&kp, h, v); got != fl {
 		t.Fatal("warm cache miss")
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
+	// Probe counts nothing; the caller lands its per-burst tallies.
+	if st := c.Stats(); st != (EMCStats{}) {
+		t.Fatalf("Probe touched the counters: %+v", st)
+	}
+	c.Count(1, 1)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 
 	// Any table change invalidates.
 	tb.Add(20, MatchInPort(2), Actions{Output(1)}, 0)
-	if got := c.Lookup(kp, h, tb.Version()); got != nil {
+	if got := c.Probe(&kp, h, tb.Version()); got != nil {
 		t.Fatal("stale entry survived version bump")
 	}
 }
@@ -425,8 +429,8 @@ func TestEMCNilNotCached(t *testing.T) {
 	c := NewEMC(64)
 	k := key(1, 0, 0, 0, 0, 0)
 	kp := k.Pack()
-	c.Insert(kp, kp.Hash(), nil, 0)
-	if got := c.Lookup(kp, kp.Hash(), 0); got != nil {
+	c.Put(&kp, kp.Hash64(), nil, 0)
+	if got := c.Probe(&kp, kp.Hash64(), 0); got != nil {
 		t.Fatal("nil flow was cached")
 	}
 }
@@ -439,18 +443,18 @@ func TestEMCConflictEviction(t *testing.T) {
 
 	// Fill one set with three entries mapping to the same bucket.
 	var keys []Packed
-	h := uint32(0) // same hash → same set
+	h := uint64(0) // same hash → same set
 	for i := 0; i < 3; i++ {
 		k := key(uint32(i), 0, 0, 0, 0, 0)
 		kp := k.Pack()
 		keys = append(keys, kp)
-		c.Insert(kp, h, fl, v)
+		c.Put(&kp, h, fl, v)
 	}
 	// Newest two must be present, oldest evicted.
-	if c.Lookup(keys[2], h, v) != fl || c.Lookup(keys[1], h, v) != fl {
+	if c.Probe(&keys[2], h, v) != fl || c.Probe(&keys[1], h, v) != fl {
 		t.Fatal("recent entries evicted")
 	}
-	if c.Lookup(keys[0], h, v) != nil {
+	if c.Probe(&keys[0], h, v) != nil {
 		t.Fatal("oldest entry survived 2-way eviction")
 	}
 	if c.Stats().Conflicts == 0 {
@@ -472,8 +476,8 @@ func TestEMCGenerationInvalidatesOnlyStaleEntries(t *testing.T) {
 	kb := key(2, 11, 22, pkt.ProtoUDP, 3, 4)
 	kpa, kpb := ka.Pack(), kb.Pack()
 	v1 := tb.Version()
-	c.Insert(kpa, kpa.Hash(), fa, v1)
-	c.Insert(kpb, kpb.Hash(), fb, v1)
+	c.Put(&kpa, kpa.Hash64(), fa, v1)
+	c.Put(&kpb, kpb.Hash64(), fb, v1)
 
 	// Mutate the table: both cached entries are now stale.
 	tb.Add(30, MatchInPort(3), Actions{Output(1)}, 0)
@@ -481,23 +485,23 @@ func TestEMCGenerationInvalidatesOnlyStaleEntries(t *testing.T) {
 	if v2 == v1 {
 		t.Fatal("mutation did not bump version")
 	}
-	if c.Lookup(kpa, kpa.Hash(), v2) != nil || c.Lookup(kpb, kpb.Hash(), v2) != nil {
+	if c.Probe(&kpa, kpa.Hash64(), v2) != nil || c.Probe(&kpb, kpb.Hash64(), v2) != nil {
 		t.Fatal("stale entry served after mutation")
 	}
 
 	// Re-validate only A at v2. B must stay invalid, A must hit — i.e. the
 	// re-validation did not depend on a whole-cache flush and did not
 	// resurrect B.
-	c.Insert(kpa, kpa.Hash(), fa, v2)
-	if c.Lookup(kpa, kpa.Hash(), v2) != fa {
+	c.Put(&kpa, kpa.Hash64(), fa, v2)
+	if c.Probe(&kpa, kpa.Hash64(), v2) != fa {
 		t.Fatal("re-validated entry missed")
 	}
-	if c.Lookup(kpb, kpb.Hash(), v2) != nil {
+	if c.Probe(&kpb, kpb.Hash64(), v2) != nil {
 		t.Fatal("entry from the old generation resurrected")
 	}
 	// And another mutation invalidates A's v2 entry in turn.
 	tb.Add(40, MatchInPort(4), Actions{Output(1)}, 0)
-	if c.Lookup(kpa, kpa.Hash(), tb.Version()) != nil {
+	if c.Probe(&kpa, kpa.Hash64(), tb.Version()) != nil {
 		t.Fatal("v2 entry served at v3")
 	}
 }
@@ -513,15 +517,15 @@ func TestEMCNeverServesRemovedFlow(t *testing.T) {
 	k := key(1, 11, 22, pkt.ProtoUDP, 1, 2)
 	kp := k.Pack()
 	v1 := tb.Version()
-	c.Insert(kp, kp.Hash(), fl, v1)
-	if c.Lookup(kp, kp.Hash(), v1) != fl {
+	c.Put(&kp, kp.Hash64(), fl, v1)
+	if c.Probe(&kp, kp.Hash64(), v1) != fl {
 		t.Fatal("warm cache missed")
 	}
 
 	if !tb.DeleteStrict(10, MatchInPort(1)) {
 		t.Fatal("delete failed")
 	}
-	if got := c.Lookup(kp, kp.Hash(), tb.Version()); got != nil {
+	if got := c.Probe(&kp, kp.Hash64(), tb.Version()); got != nil {
 		t.Fatalf("EMC served removed flow %v", got)
 	}
 	// The PMD pattern after the miss: classifier lookup (nil — flow is gone),
@@ -529,7 +533,7 @@ func TestEMCNeverServesRemovedFlow(t *testing.T) {
 	if tb.Lookup(&k) != nil {
 		t.Fatal("classifier still knows removed flow")
 	}
-	if c.Lookup(kp, kp.Hash(), tb.Version()) != nil {
+	if c.Probe(&kp, kp.Hash64(), tb.Version()) != nil {
 		t.Fatal("removed flow reappeared")
 	}
 }
@@ -542,11 +546,11 @@ func TestEMCInsertPrefersStaleVictim(t *testing.T) {
 	c := NewEMC(4) // 2 sets × 2 ways
 	v1 := tb.Version()
 
-	h := uint32(0) // same set for all keys
+	h := uint64(0) // same set for all keys
 	key0 := key(10, 0, 0, 0, 0, 0)
 	key1 := key(11, 0, 0, 0, 0, 0)
 	k0, k1 := key0.Pack(), key1.Pack()
-	c.Insert(k0, h, fl, v1)
+	c.Put(&k0, h, fl, v1)
 
 	tb.Add(2, MatchInPort(9), Actions{Output(1)}, 0) // version gap v1 → v3
 	fl2 := tb.Add(3, MatchInPort(8), Actions{Output(1)}, 0)
@@ -554,13 +558,13 @@ func TestEMCInsertPrefersStaleVictim(t *testing.T) {
 
 	// k1 lands at v3; k0's entry (v1) is stale and must be the victim even
 	// though it sits in way 0.
-	c.Insert(k1, h, fl2, v3)
-	if c.Lookup(k1, h, v3) != fl2 {
+	c.Put(&k1, h, fl2, v3)
+	if c.Probe(&k1, h, v3) != fl2 {
 		t.Fatal("fresh entry missing")
 	}
 	// A second fresh insert shifts into the empty way — no conflict yet.
-	c.Insert(k0, h, fl2, v3)
-	if c.Lookup(k0, h, v3) != fl2 || c.Lookup(k1, h, v3) != fl2 {
+	c.Put(&k0, h, fl2, v3)
+	if c.Probe(&k0, h, v3) != fl2 || c.Probe(&k1, h, v3) != fl2 {
 		t.Fatal("live entries lost")
 	}
 	if got := c.Stats().Conflicts; got != 0 {
@@ -569,14 +573,14 @@ func TestEMCInsertPrefersStaleVictim(t *testing.T) {
 	// A third insert finds both ways live at v3: now it must conflict-evict.
 	key2 := key(12, 0, 0, 0, 0, 0)
 	k2 := key2.Pack()
-	c.Insert(k2, h, fl2, v3)
+	c.Put(&k2, h, fl2, v3)
 	if got := c.Stats().Conflicts; got != 1 {
 		t.Fatalf("conflicts = %d, want 1 (both ways were live)", got)
 	}
-	if c.Lookup(k2, h, v3) != fl2 || c.Lookup(k0, h, v3) != fl2 {
+	if c.Probe(&k2, h, v3) != fl2 || c.Probe(&k0, h, v3) != fl2 {
 		t.Fatal("newest entries must survive the conflict eviction")
 	}
-	if c.Lookup(k1, h, v3) != nil {
+	if c.Probe(&k1, h, v3) != nil {
 		t.Fatal("oldest live entry must be the conflict victim")
 	}
 }
@@ -634,12 +638,12 @@ func BenchmarkEMCLookupHit(b *testing.B) {
 	c := NewEMC(8192)
 	k := key(1, 11, 22, pkt.ProtoUDP, 1, 2)
 	kp := k.Pack()
-	h := kp.Hash()
+	h := kp.Hash64()
 	v := tb.Version()
-	c.Insert(kp, h, fl, v)
+	c.Put(&kp, h, fl, v)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if c.Lookup(kp, h, v) == nil {
+		if c.Probe(&kp, h, v) == nil {
 			b.Fatal("miss")
 		}
 	}

@@ -122,9 +122,11 @@ func mix(a, b uint64) uint64 {
 // words, one over their results, so every key bit passes through two. The
 // lane keys are secret per process, so a sender cannot choose keys that
 // collide; both operands of every multiply carry key material, so no public
-// input zeroes a lane. Consumers split the result: Hash (low half) indexes
-// the EMC and SMC and signs SMC entries, Hash2 (high half) is the SMC's
-// second check, the RSS queue pick and the ECMP path pin.
+// input zeroes a lane. Consumers split the result: the low half indexes the
+// EMC and SMC and signs SMC entries, the high half is the SMC's second
+// check, the RSS queue pick and the ECMP path pin; the EMC keeps all 64 bits
+// as its entry signature. The datapath never calls this: PackFrame returns
+// the same value from the words it assembled.
 func (p *Packed) Hash64() uint64 {
 	k := &hashSeed
 	a := mix(binary.LittleEndian.Uint64(p[0:8])^k[0], binary.LittleEndian.Uint64(p[8:16])^k[1])
@@ -182,37 +184,58 @@ func ExtractKey(p *pkt.Parser, inPort uint32) Key {
 }
 
 // PackFrame writes the packed classifier key of frame, as it arrived on
-// inPort, straight into out: the datapath's form of ExtractKey(p,
-// inPort).Pack(), byte-for-byte equal to it on every frame, without the
-// intermediate Key or the per-field MAC/IP4 copies. p must hold the result
-// of p.Parse(frame): the parser has validated every length PackFrame relies
-// on, so the header fields are read at fixed offsets gated by p.Decoded.
-// Allocates nothing.
-func PackFrame(p *pkt.Parser, frame []byte, inPort uint32, out *Packed) {
-	*out = Packed{}
-	binary.BigEndian.PutUint32(out[0:4], inPort)
+// inPort, into out and returns its Hash64: the datapath's form of
+// ExtractKey(p, inPort).Pack() followed by Hash64(), byte-for-byte and
+// bit-for-bit equal to them on every frame. The key is assembled as its five
+// little-endian words in registers — header fields read at fixed offsets
+// gated by p.Decoded, shifted into place — stored with five word stores and
+// hashed from those same registers, so nothing reloads the bytes just
+// written. p must hold the result of p.Parse(frame): the parser has
+// validated every length PackFrame relies on. Allocates nothing.
+func PackFrame(p *pkt.Parser, frame []byte, inPort uint32, out *Packed) uint64 {
 	d := p.Decoded
-	if !d.Has(pkt.LayerEthernet) {
-		return
+	w0 := uint64(bits.ReverseBytes32(inPort)) // bytes 0-3: in-port, big-endian
+	var w1, w2, w3, w4 uint64
+	if d.Has(pkt.LayerEthernet) {
+		dst := binary.LittleEndian.Uint64(frame[0:8])  // dst MAC, src MAC[0:2]
+		src := binary.LittleEndian.Uint64(frame[4:12]) // dst MAC[4:6], src MAC
+		w0 |= (src << 16) &^ 0xffffffff                // bytes 4-7: src MAC[0:4]
+		w1 = src>>48 | dst<<16                         // bytes 8-9: src MAC[4:6]; 10-15: dst MAC
+		l3 := pkt.EthernetLen
+		if d.Has(pkt.LayerVLAN) {
+			// bytes 18-19: VID, PCP/DEI masked off
+			w2 = uint64(binary.LittleEndian.Uint16(frame[14:16])&0xff0f) << 16
+			l3 += pkt.VLANLen
+		}
+		// bytes 16-17: EtherType, the encapsulated one when tagged
+		w2 |= uint64(binary.LittleEndian.Uint16(frame[l3-2 : l3]))
+		l4 := l3 + pkt.IPv6Len
+		if d.Has(pkt.LayerIPv4) {
+			ip := frame[l3 : l3+pkt.IPv4MinLen]
+			addrs := binary.LittleEndian.Uint64(ip[12:20])
+			w2 |= addrs << 32                                         // bytes 20-23: src address
+			w3 = addrs>>32 | uint64(ip[9])<<32 | uint64(ip[1]>>2)<<40 // 24-27: dst address; 28: proto; 29: DSCP
+			l4 = l3 + int(ip[0]&0x0f)*4
+		}
+		if d&(pkt.LayerUDP|pkt.LayerTCP) != 0 {
+			ports := uint64(binary.LittleEndian.Uint32(frame[l4 : l4+4]))
+			w3 |= ports << 48 // bytes 30-31: source port
+			w4 = ports >> 16  // bytes 32-33: destination port; 34-35 stay zero
+		}
 	}
-	copy(out[4:10], frame[6:12])
-	copy(out[10:16], frame[0:6])
-	l3 := pkt.EthernetLen
-	if d.Has(pkt.LayerVLAN) {
-		out[18], out[19] = frame[14]&0x0f, frame[15] // VID, PCP/DEI masked off
-		l3 += pkt.VLANLen
-	}
-	copy(out[16:18], frame[l3-2:l3]) // EtherType, the encapsulated one when tagged
-	l4 := l3 + pkt.IPv6Len
-	if d.Has(pkt.LayerIPv4) {
-		ip := frame[l3 : l3+pkt.IPv4MinLen]
-		copy(out[20:28], ip[12:20])
-		out[28], out[29] = ip[9], ip[1]>>2
-		l4 = l3 + int(ip[0]&0x0f)*4
-	}
-	if d&(pkt.LayerUDP|pkt.LayerTCP) != 0 {
-		copy(out[30:34], frame[l4:l4+4])
-	}
+	binary.LittleEndian.PutUint64(out[0:8], w0)
+	binary.LittleEndian.PutUint64(out[8:16], w1)
+	binary.LittleEndian.PutUint64(out[16:24], w2)
+	binary.LittleEndian.PutUint64(out[24:32], w3)
+	binary.LittleEndian.PutUint32(out[32:36], uint32(w4))
+	// Hash64 over the words still in registers (a shared helper is past the
+	// inlining budget and would cost both callers a call; the fuzz target
+	// holds the two to the same bits).
+	k := &hashSeed
+	a := mix(w0^k[0], w1^k[1])
+	b := mix(w2^k[2], w3^k[3])
+	c := mix(w4^k[4], k[5])
+	return mix(a^c, b^k[6])
 }
 
 // RSSHash computes a frame's receive-side-scaling hash the way the
@@ -228,8 +251,7 @@ func RSSHash(p *pkt.Parser, frame []byte) (h uint32, ok bool) {
 		return 0, false
 	}
 	var kp Packed
-	PackFrame(p, frame, 0, &kp)
-	return kp.Hash2(), true
+	return uint32(PackFrame(p, frame, 0, &kp) >> 32), true
 }
 
 // Match pairs a key with a mask: the OpenFlow match of a flow entry.

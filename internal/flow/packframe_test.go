@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"ovshighway/internal/flow"
+	"ovshighway/internal/flow/flowtest"
 	"ovshighway/internal/pkt"
 )
 
@@ -74,7 +75,9 @@ func seedFrames(tb testing.TB) map[string][]byte {
 // checkPackFrame holds the one-pass key path to the control-plane one on a
 // single frame: same parse verdict as ever (the parser is untouched, so this
 // pins that PackFrame neither needs nor adds a length check), the same 36
-// bytes, no allocation.
+// bytes, the returned hash equal to Hash64 of those bytes under the hash seed
+// in force (every caller runs it under each of flowtest.Seeds), no
+// allocation.
 func checkPackFrame(t *testing.T, frame []byte, inPort uint32) {
 	t.Helper()
 	var p pkt.Parser
@@ -86,16 +89,19 @@ func checkPackFrame(t *testing.T, frame []byte, inPort uint32) {
 	want := k.Pack()
 	var got flow.Packed
 	got[35] = 0xff // PackFrame must overwrite, not merge
-	flow.PackFrame(&p, frame, inPort, &got)
+	hash := flow.PackFrame(&p, frame, inPort, &got)
 	if got != want {
 		t.Fatalf("PackFrame != ExtractKey().Pack() on %x (in_port %d, decoded %#x)\n got %x\nwant %x",
 			frame, inPort, p.Decoded, got, want)
 	}
+	if hash != want.Hash64() {
+		t.Fatalf("PackFrame returned %#x, Hash64 of the key it wrote is %#x, on %x (in_port %d, decoded %#x)",
+			hash, want.Hash64(), frame, inPort, p.Decoded)
+	}
 	if n := testing.AllocsPerRun(5, func() {
-		flow.PackFrame(&p, frame, inPort, &got)
-		sinkHash += got.Hash64()
+		sinkHash += flow.PackFrame(&p, frame, inPort, &got)
 	}); n != 0 {
-		t.Fatalf("PackFrame+Hash64 allocate %v times per frame", n)
+		t.Fatalf("PackFrame allocates %v times per frame", n)
 	}
 }
 
@@ -104,9 +110,11 @@ var sinkHash uint64
 // TestPackFrameSeeds runs every seed frame at every truncation length.
 func TestPackFrameSeeds(t *testing.T) {
 	for name, frame := range seedFrames(t) {
-		for cut := 0; cut <= len(frame); cut++ {
-			checkPackFrame(t, frame[:cut], 7)
-		}
+		flowtest.ForEachSeed(t, func(t *testing.T) {
+			for cut := 0; cut <= len(frame); cut++ {
+				checkPackFrame(t, frame[:cut], 7)
+			}
+		})
 		var p pkt.Parser
 		if err := p.Parse(frame); err != nil || p.Decoded == pkt.LayerEthernet {
 			t.Errorf("seed %s decodes no further than Ethernet (%v): not the shape it is named for", name, err)
@@ -115,8 +123,13 @@ func TestPackFrameSeeds(t *testing.T) {
 }
 
 // Property: on a seed frame with a few bytes overwritten at random and a
-// random cut, PackFrame still equals ExtractKey().Pack().
+// random cut, PackFrame still equals ExtractKey().Pack() and returns its
+// Hash64.
 func TestQuickPackFrameMatchesExtractKey(t *testing.T) {
+	flowtest.ForEachSeed(t, quickPackFrame)
+}
+
+func quickPackFrame(t *testing.T) {
 	var seeds [][]byte
 	for _, f := range seedFrames(t) {
 		seeds = append(seeds, f)
@@ -151,6 +164,9 @@ func FuzzPackFrame(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, frame []byte, inPort uint32) {
-		checkPackFrame(t, frame, inPort)
+		for _, seed := range flowtest.Seeds {
+			flow.PinHashSeed(t, seed)
+			checkPackFrame(t, frame, inPort)
+		}
 	})
 }

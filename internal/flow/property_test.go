@@ -171,19 +171,21 @@ func TestQuickTieredLookupOracle(t *testing.T) {
 
 			k := randKey(rng)
 			kp := k.Pack()
-			h := kp.Hash()
+			h := kp.Hash64()
 			g := tb.Generation()
 
 			// Tiered lookup, exactly as the PMD walks it.
-			got := emc.Lookup(kp, h, g)
+			got := emc.Probe(&kp, h, g)
 			if got == nil {
-				got = smc.Lookup(&kp, h, g)
+				got = smc.Lookup(&kp, uint32(h), g)
 			}
 			if got == nil {
 				got = tb.LookupPacked(&kp)
 				if got != nil {
-					emc.Insert(kp, h, got, g)
-					smc.Insert(&kp, h, got, g)
+					if v, ev := emc.Put(&kp, h, got, g); ev {
+						smc.Insert(&v.Key, uint32(v.Hash), v.Flow, g)
+					}
+					smc.Insert(&kp, uint32(h), got, g)
 				}
 			}
 
@@ -225,17 +227,17 @@ func TestQuickEMCCoherence(t *testing.T) {
 			}
 			k := randKey(rng)
 			kp := k.Pack()
-			h := kp.Hash()
+			h := kp.Hash64()
 			v := tb.Version()
-			cached := emc.Lookup(kp, h, v)
+			cached := emc.Probe(&kp, h, v)
 			truth := tb.Lookup(&k)
 			if cached != nil && cached != truth {
 				return false // stale or wrong entry served
 			}
 			if cached == nil && truth != nil {
-				emc.Insert(kp, h, truth, v)
+				emc.Put(&kp, h, truth, v)
 				// Immediately re-reading must hit unless the version moved.
-				if tb.Version() == v && emc.Lookup(kp, h, v) != truth {
+				if tb.Version() == v && emc.Probe(&kp, h, v) != truth {
 					return false
 				}
 			}

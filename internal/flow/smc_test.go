@@ -278,12 +278,12 @@ func TestEMCEvictionDemotesVictimToSMC(t *testing.T) {
 
 	// Collect three distinct keys landing in the same EMC set.
 	var keys []Packed
-	var hashes []uint32
-	want := uint32(0)
+	var hashes []uint64
+	want := uint64(0)
 	for port := uint16(1); len(keys) < 3 && port < 10000; port++ {
 		k := Key{InPort: 1, EthType: 0x0800, IPProto: 17, L4Src: port, L4Dst: 9000}
 		kp := k.Pack()
-		h := kp.Hash()
+		h := kp.Hash64()
 		set := h & 1
 		if len(keys) == 0 {
 			want = set
@@ -297,26 +297,27 @@ func TestEMCEvictionDemotesVictimToSMC(t *testing.T) {
 		t.Fatal("could not find three keys sharing an EMC set")
 	}
 
-	if _, _, ev := emc.Insert(keys[0], hashes[0], fl, gen); ev {
+	if _, ev := emc.Put(&keys[0], hashes[0], fl, gen); ev {
 		t.Fatal("insertion into an empty set reported an eviction")
 	}
-	if _, _, ev := emc.Insert(keys[1], hashes[1], fl, gen); ev {
+	if _, ev := emc.Put(&keys[1], hashes[1], fl, gen); ev {
 		t.Fatal("insertion into a half-empty set reported an eviction")
 	}
-	vk, vf, ev := emc.Insert(keys[2], hashes[2], fl, gen)
-	if !ev || vf != fl || vk != keys[0] {
-		t.Fatalf("third insertion: evicted=%v victim=%v key match=%v, want eviction of the oldest entry",
-			ev, vf, vk == keys[0])
+	v, ev := emc.Put(&keys[2], hashes[2], fl, gen)
+	if !ev || v.Flow != fl || v.Key != keys[0] || v.Hash != hashes[0] {
+		t.Fatalf("third insertion: evicted=%v victim=%v key match=%v hash match=%v, want eviction of the oldest entry with the hash it was stored under",
+			ev, v.Flow, v.Key == keys[0], v.Hash == hashes[0])
 	}
 
-	// The PMD wiring: the victim demotes into the SMC at the same gen.
-	smc.Insert(&vk, vk.Hash(), vf, gen)
+	// The PMD wiring: the victim demotes into the SMC at the same gen, under
+	// the hash its EMC entry held.
+	smc.Insert(&v.Key, uint32(v.Hash), v.Flow, gen)
 
 	// The evicted key now misses the EMC but hits the SMC.
-	if emc.Lookup(keys[0], hashes[0], gen) != nil {
+	if emc.Probe(&keys[0], hashes[0], gen) != nil {
 		t.Fatal("evicted key still hits the EMC")
 	}
-	if got := smc.Lookup(&keys[0], hashes[0], gen); got != fl {
+	if got := smc.Lookup(&keys[0], uint32(hashes[0]), gen); got != fl {
 		t.Fatalf("demoted victim not served by the SMC (got %v)", got)
 	}
 	if st := smc.Stats(); st.Hits != 1 {

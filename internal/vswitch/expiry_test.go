@@ -91,6 +91,56 @@ func TestSweeperExpiresIdleFlowUnderNoTraffic(t *testing.T) {
 	}
 }
 
+// TestCoarseStampExpiresOnSchedule: the datapath touches a flow with the
+// loop's coarse stamp — wall-clock base captured once per thread plus
+// monotonic time since, read at the top of the iteration or at the end of
+// the previous non-empty burst — not with a clock read of its own. Skew
+// bound: the stamp is never ahead of the true time and lags it by at most
+// one loop iteration (one burst plus a round of empty polls, microseconds),
+// plus whatever the wall clock has been stepped by since the thread was
+// built; idle timeouts are whole seconds and the sweeper runs every
+// SweepInterval, so a flow expires within IdleTO + SweepInterval + one
+// iteration of its last packet, as before. The test brackets the stamp
+// between two wall-clock reads around the one iteration that carried the
+// packet, with no sleep: the flow must not be expired one idle period after
+// the earlier read and must be one idle period after the later.
+func TestCoarseStampExpiresOnSchedule(t *testing.T) {
+	env := newSyncEnv(t, Config{}, 2)
+	f := env.sw.Table().AddWithTimeouts(10, flow.MatchInPort(1), flow.Actions{flow.Output(2)}, 0, 1, 0, 0)
+	const idle = time.Second
+
+	// Back-date the last hit so only a touch through the datapath can make
+	// the flow current again.
+	f.Touch(time.Now().Add(-10 * idle).UnixNano())
+	if dead, _ := f.Expired(time.Now()); !dead {
+		t.Fatal("back-dated flow is not idle-expired: the test cannot tell a touch from none")
+	}
+
+	before := time.Now()
+	env.sendUDP(t, 1, defaultSpec)
+	if n := env.sw.PollOnce(); n != 1 {
+		t.Fatalf("PollOnce handled %d frames, want 1", n)
+	}
+	after := time.Now()
+	if env.drain(2) != 1 {
+		t.Fatal("packet not forwarded")
+	}
+
+	if dead, _ := f.Expired(before.Add(idle - time.Nanosecond)); dead {
+		t.Fatal("flow expired less than one idle period after its packet: the datapath's stamp is behind the iteration that carried it")
+	}
+	if dead, reason := f.Expired(after.Add(idle)); !dead || reason != flow.ReasonIdleTimeout {
+		t.Fatalf("flow not idle-expired one idle period after its packet (%v/%d): the datapath's stamp is ahead of the clock", dead, reason)
+	}
+	// And the sweeper's call removes it on that schedule.
+	if got := env.sw.Table().Expire(before.Add(idle - time.Nanosecond)); got != nil {
+		t.Fatalf("swept early: %+v", got)
+	}
+	if got := env.sw.Table().Expire(after.Add(idle)); len(got) != 1 || got[0].Flow != f {
+		t.Fatalf("sweep at the deadline removed %+v, want the flow", got)
+	}
+}
+
 func TestTrafficKeepsIdleFlowAlive(t *testing.T) {
 	env := newEnv(t, Config{SweepInterval: 20 * time.Millisecond}, 2)
 	env.sw.ApplyFlowMod(openflow.FlowMod{

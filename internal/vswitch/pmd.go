@@ -13,10 +13,11 @@ import (
 // pktMeta is one packet's slot in the per-thread scratch array filled by the
 // parse phase of the batched pipeline. It carries everything the action
 // phase needs so the shared parser is never re-consulted per packet: the
-// packed key and its 64-bit hash (computed once per packet: the low half
-// indexes the EMC and SMC, the high half pins the ECMP path), the resolved
-// flow, and the header views that mutating actions write through. next
-// chains packets of the same flow group within the batch (-1 terminates).
+// packed key and its 64-bit hash (returned by the one pack pass: all of it
+// signs the EMC entry, the low half indexes the EMC and SMC, the high half
+// pins the ECMP path), the resolved flow, and the header views that mutating
+// actions write through. next chains packets of the same flow group within
+// the batch (-1 terminates).
 type pktMeta struct {
 	buf     *mempool.Buf
 	kp      flow.Packed
@@ -79,12 +80,21 @@ type pmdThread struct {
 	testPark atomic.Pointer[func()]
 
 	// busyNanos/totalNanos implement the pmd-auto-lb load signal: busy is
-	// time spent inside processBatch, total is wall time across whole loop
-	// iterations (empty polls and Gosched waits included), both written only
-	// by this thread. busy/total over a sampling window is the PMD's busy
-	// fraction — what the balancer equalizes.
+	// time spent receiving and processing non-empty bursts, total is wall
+	// time across whole loop iterations (empty polls and Gosched waits
+	// included), both written only by this thread. busy/total over a
+	// sampling window is the PMD's busy fraction — what the balancer
+	// equalizes.
 	busyNanos  atomic.Uint64
 	totalNanos atomic.Uint64
+	// The thread's clock is monotonic nanoseconds since clockBase (time.Since
+	// on a base that carries a monotonic reading never reads the wall
+	// clock); baseNano is the base's wall-clock time, so baseNano+clock() is
+	// the Unix-nanosecond stamp flows are touched with. tick is the stamp
+	// totalNanos has been accumulated up to.
+	clockBase time.Time
+	baseNano  int64
+	tick      int64
 
 	emc    *flow.EMC
 	smc    *flow.SMC
@@ -109,9 +119,12 @@ type pmdThread struct {
 }
 
 func newPMDThread(s *Switch, idx int) *pmdThread {
+	base := time.Now() // the thread's only wall-clock read
 	p := &pmdThread{
 		s:         s,
 		idx:       idx,
+		clockBase: base,
+		baseNano:  base.UnixNano(),
 		rng:       0x9e3779b9 + uint32(idx),
 		emc:       flow.NewEMC(s.cfg.EMCEntries),
 		rxBatch:   make([]*mempool.Buf, s.cfg.BatchSize),
@@ -162,23 +175,30 @@ func (p *pmdThread) owns(id uint32) bool {
 }
 
 func (p *pmdThread) run() {
-	var lastTick time.Time
+	p.tick = p.clock()
 	for !p.stop.Load() {
-		p.iters.Add(1)
-		now := time.Now()
-		if !lastTick.IsZero() {
-			p.totalNanos.Add(uint64(now.Sub(lastTick)))
-		}
-		lastTick = now
-		if p.poll() == 0 {
+		if p.iterate() == 0 {
 			runtime.Gosched()
 		}
 	}
 }
 
-// poll is one loop iteration: one receive burst from every queue this
+// clock reads the thread's monotonic clock.
+func (p *pmdThread) clock() int64 { return int64(time.Since(p.clockBase)) }
+
+// iterate is one loop iteration: one receive burst from every queue this
 // thread owns, each run through processBatch. It returns the frames handled.
-func (p *pmdThread) poll() int {
+//
+// The clock is read once on entry and once after each non-empty burst. Each
+// stamp ends one busy interval, starts the next and is the coarse "now" the
+// following burst's flows are touched with — at most one burst plus one
+// round of empty polls behind the true time. So a burst's busy time runs
+// from the previous stamp to its own: its receive, its processBatch and the
+// empty polls that led to it. totalNanos advances to the iteration's last
+// stamp, so busy never runs ahead of total.
+func (p *pmdThread) iterate() int {
+	p.iters.Add(1)
+	stamp := p.clock()
 	// One atomic load yields a mutually consistent (ports, owners) pair;
 	// the embedded port set is what processBatch resolves output ports
 	// against, so a queue and its destinations always come from the same
@@ -197,14 +217,17 @@ func (p *pmdThread) poll() int {
 			continue
 		}
 		frames += n
-		t0 := time.Now()
-		p.processBatch(q.e.port.PortID(), p.rxBatch[:n], asg.ports)
-		busy := uint64(time.Since(t0))
+		p.processBatch(q.e.port.PortID(), p.rxBatch[:n], asg.ports, p.baseNano+stamp)
+		end := p.clock()
+		busy := uint64(end - stamp)
+		stamp = end
 		p.busyNanos.Add(busy)
 		q.busyNanos.Add(busy)
 		q.batches.Add(1)
 		q.frames.Add(uint64(n))
 	}
+	p.totalNanos.Add(uint64(stamp - p.tick))
+	p.tick = stamp
 	return frames
 }
 
@@ -219,7 +242,10 @@ func (p *pmdThread) poll() int {
 // Cross-flow packet order within a batch may change (groups flush in
 // first-seen order); per-flow order is preserved — the same reordering
 // window a flow-grouped hardware datapath has.
-func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portSet) {
+//
+// nowNano is the caller's coarse Unix-nanosecond stamp (see iterate): the
+// idle-timeout touch and the ECMP flowlet gate read no clock of their own.
+func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portSet, nowNano int64) {
 	if len(p.txAcc) < len(snap.order) {
 		p.txAcc = append(p.txAcc, make([][]*mempool.Buf, len(snap.order)-len(p.txAcc))...)
 	}
@@ -227,12 +253,11 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 	gen := table.Generation()
 	emcOn := !p.s.cfg.EMCDisabled
 	smcOn := !p.s.cfg.SMCDisabled
-	nowNano := time.Now().UnixNano() // amortized idle-timeout timestamp
 
 	// Phase 1: parse + classify into scratch.
 	n := int32(0)
 	p.missIdx = p.missIdx[:0]
-	var misses, tableMisses, dedups, parseErrs uint64
+	var emcHits, emcMisses, misses, tableMisses, dedups, parseErrs uint64
 	for _, b := range bufs {
 		b.Port = inPort
 		frame := b.Bytes()
@@ -243,8 +268,7 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 		}
 		m := &p.metas[n]
 		m.buf = b
-		flow.PackFrame(&p.parser, frame, inPort, &m.kp)
-		m.hash = m.kp.Hash64()
+		m.hash = flow.PackFrame(&p.parser, frame, inPort, &m.kp)
 		hash := uint32(m.hash)
 		m.decoded = p.parser.Decoded
 		m.eth = p.parser.Eth
@@ -253,8 +277,11 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 		var f *flow.Flow
 		resolved := false
 		if emcOn {
-			if f = p.emc.Lookup(m.kp, hash, gen); f != nil {
+			if f = p.emc.Probe(&m.kp, m.hash, gen); f != nil {
 				resolved = true
+				emcHits++
+			} else {
+				emcMisses++
 			}
 		}
 		if !resolved && smcOn {
@@ -286,8 +313,8 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 					// displaces demotes into the second tier (OVS-style), so
 					// the flows the EMC can no longer hold keep resolving
 					// without another classifier walk.
-					if vk, vf, ev := p.emc.Insert(m.kp, hash, f, gen); ev && smcOn {
-						p.smc.Insert(&vk, vk.Hash(), vf, gen)
+					if v, ev := p.emc.Put(&m.kp, m.hash, f, gen); ev && smcOn {
+						p.smc.Insert(&v.Key, uint32(v.Hash), v.Flow, gen)
 					}
 				}
 				if smcOn {
@@ -300,6 +327,9 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 		}
 		m.f = f
 		n++
+	}
+	if emcOn {
+		p.emc.Count(emcHits, emcMisses)
 	}
 	if misses > 0 {
 		p.s.Misses.Add(misses)

@@ -300,9 +300,6 @@ type Switch struct {
 	stopped  atomic.Bool
 	wg       sync.WaitGroup
 
-	// syncPMD is the caller-driven forwarding thread behind PollOnce.
-	syncPMD *pmdThread
-
 	// Restarts counts completed Restart cycles (diagnostic; chaos tests).
 	Restarts atomic.Uint64
 
@@ -589,7 +586,8 @@ func (s *Switch) Ports() []DataPort {
 	return out
 }
 
-// pmdList returns the current PMD-thread generation (nil before Start).
+// pmdList returns the current PMD-thread generation (nil before Start, or
+// PollOnce's caller-driven thread on a switch that is never started).
 func (s *Switch) pmdList() []*pmdThread {
 	if p := s.pmdsSnap.Load(); p != nil {
 		return *p
@@ -634,10 +632,14 @@ func (s *Switch) PollOnce() int {
 	if s.started.Load() {
 		panic("vswitch: PollOnce on a started switch")
 	}
-	if s.syncPMD == nil {
-		s.syncPMD = newPMDThread(s, 0)
+	snap := s.pmdsSnap.Load()
+	if snap == nil {
+		// Published like a started generation, so DatapathStats reads the
+		// thread's cache counters and load clocks.
+		snap = &[]*pmdThread{newPMDThread(s, 0)}
+		s.pmdsSnap.Store(snap)
 	}
-	return s.syncPMD.poll()
+	return (*snap)[0].iterate()
 }
 
 // Start launches the PMD threads. It is an error to start twice.

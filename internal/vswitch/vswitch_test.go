@@ -20,6 +20,18 @@ type testEnv struct {
 
 func newEnv(t testing.TB, cfg Config, nPorts int) *testEnv {
 	t.Helper()
+	env := newSyncEnv(t, cfg, nPorts)
+	if err := env.sw.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(env.sw.Stop)
+	return env
+}
+
+// newSyncEnv is newEnv without Start: the test drives the datapath itself,
+// one iteration per Switch.PollOnce.
+func newSyncEnv(t testing.TB, cfg Config, nPorts int) *testEnv {
+	t.Helper()
 	env := &testEnv{
 		sw:   New(cfg),
 		pool: mempool.MustNew(mempool.Config{Capacity: 4096, BufSize: 2048, Headroom: 128}),
@@ -37,26 +49,28 @@ func newEnv(t testing.TB, cfg Config, nPorts int) *testEnv {
 		}
 		env.pmds[id] = pmd
 	}
-	if err := env.sw.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(env.sw.Stop)
 	return env
 }
 
 // sendUDP transmits one synthesized UDP frame from the guest on port id.
 func (e *testEnv) sendUDP(t testing.TB, id uint32, spec pkt.UDPSpec) {
 	t.Helper()
-	b, err := e.pool.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
 	buf := make([]byte, 256)
 	n, err := pkt.BuildUDP(buf, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SetBytes(buf[:n]); err != nil {
+	e.sendRaw(t, id, buf[:n])
+}
+
+// sendRaw transmits one frame of the guest's choosing on port id.
+func (e *testEnv) sendRaw(t testing.TB, id uint32, frame []byte) {
+	t.Helper()
+	b, err := e.pool.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetBytes(frame); err != nil {
 		t.Fatal(err)
 	}
 	if e.pmds[id].Tx([]*mempool.Buf{b}) != 1 {
