@@ -814,6 +814,34 @@ func BenchmarkProcessBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(bufs)), "ns/pkt")
 }
 
+// BenchmarkMempool times what the two ends of a chain pay the buffer pool per
+// burst — allocate 32 buffers, free them — on the calling goroutine: straight
+// against the shared freelist ring (uncached: one bulk dequeue, one bulk
+// enqueue, a locked counter add each) and through a mempool.Cache (cached:
+// the free feeds the next allocation, so the steady state never reaches the
+// ring). ns/op over 32 is the per-packet cost; 0 allocs/op, CI-gated.
+func BenchmarkMempool(b *testing.B) {
+	pool := mempool.MustNew(mempool.Config{Capacity: 2048})
+	cache := pool.NewCache()
+	bufs := make([]*mempool.Buf, 32)
+	run := func(b *testing.B, get func([]*mempool.Buf) int, free func([]*mempool.Buf)) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if get(bufs) != len(bufs) {
+				b.Fatal("pool ran dry")
+			}
+			free(bufs)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(bufs)), "ns/pkt")
+	}
+	b.Run("uncached", func(b *testing.B) { run(b, pool.GetBatch, mempool.FreeBatch) })
+	b.Run("cached", func(b *testing.B) { run(b, cache.GetBatch, cache.FreeBatch) })
+	cache.Flush()
+	if pool.Avail() != pool.Cap() {
+		b.Fatalf("pool leaked: %d of %d free", pool.Avail(), pool.Cap())
+	}
+}
+
 // BenchmarkVSwitchSingleHop is the vanilla per-hop reference point: one
 // packet crossing the full EMC→classifier→action datapath.
 func BenchmarkVSwitchSingleHop(b *testing.B) {

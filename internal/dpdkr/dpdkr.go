@@ -205,8 +205,8 @@ func (p *Port) Send(bufs []*mempool.Buf) int {
 	var unsent uint64
 	for _, b := range bufs[n:] { // still owned by us
 		unsent += uint64(b.Len)
-		b.Free()
 	}
+	mempool.FreeBatch(bufs[n:])
 	p.Counters.TxPackets.Add(uint64(n))
 	p.Counters.TxBytes.Add(total - unsent)
 	if dropped := len(bufs) - n; dropped > 0 {

@@ -1,13 +1,14 @@
 // Package mempool provides preallocated packet-buffer pools, the stand-in for
 // DPDK's hugepage-backed mbuf mempools. All buffers are carved out of one
-// arena at construction time; allocation and free on the fast path are ring
-// operations and never touch the Go allocator.
+// arena at construction time; allocation and free never touch the Go
+// allocator. The shared freelist is a bulk-reserve ring (one CAS per burst);
+// datapath goroutines put a single-owner Cache in front of it so their
+// steady state is plain loads and stores.
 package mempool
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"unsafe"
 
@@ -40,8 +41,13 @@ type Buf struct {
 	HashValid bool
 
 	pool *Pool
-	// refcnt supports multicast actions (one buffer output to N ports).
-	refcnt atomic.Int32
+	// refcnt supports multicast actions (one buffer output to N ports). It is
+	// a plain int32, not an atomic.Int32, because the sole owner of a buffer
+	// (count 1: fresh off the freelist, or the last reference) writes it with
+	// plain stores — no other goroutine can hold the buffer to observe them —
+	// and only a shared buffer pays atomic.AddInt32 (rte_pktmbuf_prefree_seg's
+	// rule). Every read is atomic.LoadInt32, which costs a plain load.
+	refcnt int32
 }
 
 // Bytes returns the packet contents as a sub-slice of the backing storage.
@@ -85,25 +91,37 @@ func (b *Buf) Adj(n int) error {
 // Clone increments the reference count and returns b, so the same payload
 // can be enqueued to multiple destinations. Each destination must Free it.
 func (b *Buf) Clone() *Buf {
-	b.refcnt.Add(1)
+	atomic.AddInt32(&b.refcnt, 1)
 	return b
 }
 
 // Refcnt returns the current reference count (1 for a freshly allocated buf).
-func (b *Buf) Refcnt() int { return int(b.refcnt.Load()) }
+func (b *Buf) Refcnt() int { return int(atomic.LoadInt32(&b.refcnt)) }
 
-// Free returns the buffer to its pool once all references are dropped.
-// Freeing a buffer more times than it was referenced panics: that is a
+// release drops one reference and reports whether it was the last, in which
+// case the caller must hand b back to b.pool (release has already checked
+// that pool really allocated it). Every free path — Free, FreeBatch,
+// Cache.FreeBatch — goes through here, so over-freeing panics everywhere: a
+// freed buffer's count is 0, and one more release takes it to -1. That is a
 // use-after-free style bug we want loud.
-func (b *Buf) Free() {
-	n := b.refcnt.Add(-1)
-	switch {
-	case n > 0:
-		return
-	case n < 0:
+func (b *Buf) release() bool {
+	if atomic.LoadInt32(&b.refcnt) == 1 {
+		b.refcnt = 0 // sole owner
+	} else if n := atomic.AddInt32(&b.refcnt, -1); n > 0 {
+		return false
+	} else if n < 0 {
 		panic("mempool: double free")
 	}
-	b.pool.put(b)
+	b.pool.guardOwnership(b)
+	return true
+}
+
+// Free returns the buffer to its pool once all references are dropped.
+// Freeing a buffer more times than it was referenced panics.
+func (b *Buf) Free() {
+	if b.release() {
+		b.pool.putOne(b)
+	}
 }
 
 // Pool is a fixed-population buffer pool.
@@ -119,6 +137,10 @@ type Pool struct {
 	arenaLo uintptr
 	arenaHi uintptr
 
+	// The counters sit on their own cache line: every allocation and free
+	// reads the fields above, and a counter add on another core must not
+	// keep invalidating them.
+	_      [64]byte
 	allocs atomic.Uint64
 	frees  atomic.Uint64
 	fails  atomic.Uint64
@@ -164,13 +186,13 @@ func New(cfg Config) (*Pool, error) {
 	p.arenaLo = uintptr(unsafe.Pointer(&arena[0]))
 	p.arenaHi = p.arenaLo + uintptr(len(arena))
 	bufs := make([]Buf, cfg.Capacity)
+	ptrs := make([]*Buf, cfg.Capacity)
 	for i := range bufs {
 		bufs[i].Data = arena[i*cfg.BufSize : (i+1)*cfg.BufSize]
 		bufs[i].pool = p
-		if !p.free.TryEnqueue(&bufs[i]) {
-			return nil, errors.New("mempool: internal: freelist overflow")
-		}
+		ptrs[i] = &bufs[i]
 	}
+	p.free.Enqueue(ptrs)
 	return p, nil
 }
 
@@ -186,14 +208,16 @@ func MustNew(cfg Config) *Pool {
 // Cap returns the total buffer population.
 func (p *Pool) Cap() int { return p.capacity }
 
-// Avail returns the instantaneous number of free buffers.
+// Avail returns the instantaneous number of buffers on the shared freelist.
+// Buffers stashed in a Cache are not on it until the cache flushes.
 func (p *Pool) Avail() int { return p.free.Len() }
 
 // Headroom returns the configured data offset for fresh buffers.
 func (p *Pool) Headroom() int { return p.headroom }
 
 // reset returns the buffer to its freshly-allocated state (refcount 1, no
-// metadata, data offset at the pool headroom).
+// metadata, data offset at the pool headroom). The caller is the buffer's
+// sole owner, so the count is a plain store.
 func (b *Buf) reset(headroom int) {
 	b.Off = headroom
 	b.Len = 0
@@ -201,33 +225,38 @@ func (b *Buf) reset(headroom int) {
 	b.TS = 0
 	b.Hash = 0
 	b.HashValid = false
-	b.refcnt.Store(1)
+	b.refcnt = 1
 }
 
 // Get allocates one buffer with refcount 1, or ErrExhausted.
 func (p *Pool) Get() (*Buf, error) {
-	b, ok := p.free.TryDequeue()
-	if !ok {
-		p.fails.Add(1)
+	var one [1]*Buf
+	if p.GetBatch(one[:]) == 0 {
 		return nil, ErrExhausted
 	}
-	p.allocs.Add(1)
-	b.reset(p.headroom)
-	return b, nil
+	return one[0], nil
 }
 
-// GetBatch fills out with up to len(out) fresh buffers in one batched ring
+// GetBatch fills out with up to len(out) fresh buffers in one bulk ring
 // dequeue, returning the count.
 func (p *Pool) GetBatch(out []*Buf) int {
 	n := p.free.Dequeue(out)
+	p.allocs.Add(uint64(n))
+	p.fresh(out, n)
+	return n
+}
+
+// fresh finishes an allocation of out[:n] for a caller that asked for
+// len(out): the buffers are reset, and coming up short is one fail. Counting
+// fails here, against what the caller asked for, keeps a Cache refill that
+// asks the ring for more than its caller needs from inflating them.
+func (p *Pool) fresh(out []*Buf, n int) {
 	for _, b := range out[:n] {
 		b.reset(p.headroom)
 	}
-	p.allocs.Add(uint64(n))
 	if n < len(out) {
 		p.fails.Add(1)
 	}
-	return n
 }
 
 // Owns reports whether b was allocated by this pool, by checking that its
@@ -251,60 +280,50 @@ func (p *Pool) guardOwnership(b *Buf) {
 	}
 }
 
-func (p *Pool) put(b *Buf) {
-	p.guardOwnership(b)
-	p.frees.Add(1)
-	// The freelist ring is sized above the buffer population, so it can never
-	// be durably full. TryEnqueue can still fail transiently: an MPMC
-	// consumer preempted between claiming a slot and releasing it holds that
-	// slot hostage, and a producer that wraps around to it sees "full".
-	// Spin until the stalled consumer finishes.
-	for !p.free.TryEnqueue(b) {
-		runtime.Gosched()
-	}
+// put counts released buffers as freed and returns them to the freelist.
+func (p *Pool) put(bufs []*Buf) {
+	p.frees.Add(uint64(len(bufs)))
+	p.enqueue(bufs)
 }
 
-// putBatch returns a batch of zero-refcount buffers to the freelist with
-// batched ring enqueues (same transient-full caveat as put).
-func (p *Pool) putBatch(bufs []*Buf) {
-	for _, b := range bufs {
-		p.guardOwnership(b)
-	}
-	p.frees.Add(uint64(len(bufs)))
-	sent := 0
-	for sent < len(bufs) {
-		n := p.free.Enqueue(bufs[sent:])
-		sent += n
-		if n == 0 {
-			runtime.Gosched()
-		}
+// putOne is put for a single buffer.
+func (p *Pool) putOne(b *Buf) {
+	one := [1]*Buf{b}
+	p.put(one[:])
+}
+
+// enqueue returns released (count 0, ownership checked) buffers to the
+// freelist in one bulk ring enqueue. The ring is sized above the buffer
+// population and every slot between its consumer tail and producer head
+// stands for a distinct buffer no caller holds, so the enqueue can never come
+// up short — not even transiently. What it can do is wait: a producer
+// descheduled between reserving its slots and publishing them stalls the
+// publish of every later enqueue (ring.MPMC yields until the predecessor
+// runs), and until then Avail and GetBatch under-report by the unpublished
+// runs.
+func (p *Pool) enqueue(bufs []*Buf) {
+	if p.free.Enqueue(bufs) != len(bufs) {
+		panic("mempool: freelist overflow")
 	}
 }
 
 // FreeBatch drops one reference on every non-nil buffer and returns those
-// reaching zero to their pools in batched ring operations — the batch
-// analogue of calling Free in a loop on an RX burst. It compacts in place:
-// the contents of bufs are unspecified afterwards. Over-freeing panics
-// exactly as Free does.
+// reaching zero to their pools in bulk ring operations — the batch analogue
+// of calling Free in a loop on an RX burst. It compacts in place: the
+// contents of bufs are unspecified afterwards. Over-freeing panics exactly
+// as Free does.
 func FreeBatch(bufs []*Buf) {
 	var pool *Pool
 	k := 0
 	for _, b := range bufs {
-		if b == nil {
+		if b == nil || !b.release() {
 			continue
-		}
-		n := b.refcnt.Add(-1)
-		switch {
-		case n > 0:
-			continue
-		case n < 0:
-			panic("mempool: double free")
 		}
 		// Runs of same-pool buffers flush together; a pool change flushes the
 		// pending run first (multi-pool batches are rare but legal).
 		if b.pool != pool {
 			if k > 0 {
-				pool.putBatch(bufs[:k])
+				pool.put(bufs[:k])
 				k = 0
 			}
 			pool = b.pool
@@ -313,11 +332,15 @@ func FreeBatch(bufs []*Buf) {
 		k++
 	}
 	if k > 0 {
-		pool.putBatch(bufs[:k])
+		pool.put(bufs[:k])
 	}
 }
 
-// Stats reports cumulative allocation counters.
+// Stats reports cumulative allocation counters: buffers handed to callers,
+// buffers callers gave back, and requests that came up short. Allocs and
+// Frees made through a Cache are added when that cache next touches the
+// shared ring (refill, spill, Flush), so Allocs-Frees == Cap-Avail holds
+// whenever every cache is flushed.
 type Stats struct {
 	Allocs, Frees, Fails uint64
 }

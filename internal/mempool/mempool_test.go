@@ -132,16 +132,38 @@ func TestCloneRefcount(t *testing.T) {
 	}
 }
 
+// TestDoubleFreePanics: every free path goes through the one release helper,
+// so freeing a buffer that is already free panics whichever path either free
+// took.
 func TestDoubleFreePanics(t *testing.T) {
-	p := MustNew(Config{Capacity: 2, BufSize: 128, Headroom: 16})
-	b, _ := p.Get()
-	b.Free()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double free did not panic")
+	p := MustNew(Config{Capacity: 4, BufSize: 128, Headroom: 16})
+	cache := p.NewCache()
+	paths := []struct {
+		name string
+		free func(*Buf)
+	}{
+		{"Free", func(b *Buf) { b.Free() }},
+		{"FreeBatch", func(b *Buf) { FreeBatch([]*Buf{b}) }},
+		{"Cache.FreeBatch", func(b *Buf) { cache.FreeBatch([]*Buf{b}) }},
+	}
+	for _, first := range paths {
+		for _, second := range paths {
+			t.Run(first.name+"+"+second.name, func(t *testing.T) {
+				b, err := p.Get()
+				if err != nil {
+					t.Fatal(err)
+				}
+				first.free(b)
+				defer func() {
+					if recover() == nil {
+						t.Fatal("double free did not panic")
+					}
+					cache.Flush()
+				}()
+				second.free(b)
+			})
 		}
-	}()
-	b.Free()
+	}
 }
 
 func TestGetBatch(t *testing.T) {

@@ -133,8 +133,8 @@ func (n *NIC) Send(bufs []*mempool.Buf) int {
 	var unsent uint64
 	for _, b := range bufs[sent:] {
 		unsent += uint64(b.Len)
-		b.Free()
 	}
+	mempool.FreeBatch(bufs[sent:])
 	n.counters.TxPackets.Add(uint64(sent))
 	n.counters.TxBytes.Add(total - unsent)
 	if d := len(bufs) - sent; d > 0 {

@@ -99,9 +99,12 @@ func NewWireSink(n *NIC) *WireSink {
 	go func() {
 		defer close(s.done)
 		batch := make([]*mempool.Buf, 32)
+		var cache mempool.Cache
+		defer cache.Flush()
 		for !s.stop.Load() {
 			k := n.DrainToWire(batch)
 			if k == 0 {
+				cache.Flush()
 				time.Sleep(time.Microsecond)
 				continue
 			}
@@ -109,7 +112,7 @@ func NewWireSink(n *NIC) *WireSink {
 			for i := 0; i < k; i++ {
 				bytes += uint64(batch[i].Len)
 			}
-			mempool.FreeBatch(batch[:k])
+			cache.FreeBatch(batch[:k])
 			s.Received.Add(uint64(k))
 			s.Bytes.Add(bytes)
 		}

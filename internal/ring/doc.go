@@ -6,8 +6,9 @@
 //     block for dpdkr port channels (both the normal channel to the vSwitch
 //     and the direct bypass channel between two VMs), where each end is owned
 //     by exactly one poll-mode thread.
-//   - MPMC: a multi-producer multi-consumer ring (Vyukov bounded queue),
-//     used for mempool freelists and any queue shared by several PMD loops.
+//   - MPMC: a multi-producer multi-consumer ring (producer and consumer
+//     head/tail pairs; one CAS reserves a whole burst of slots), used for
+//     mempool freelists and any queue shared by several PMD loops.
 //
 // Both rings have power-of-two capacity, support batch enqueue/dequeue (the
 // fast-path idiom throughout this repository), never allocate after

@@ -495,7 +495,12 @@ type pump struct {
 
 	drained []*mempool.Buf // scratch: frames pulled off the src NIC
 	homed   []*mempool.Buf // scratch: fresh dst-pool buffers
-	inFly   []delayed      // FIFO delay line (head index avoids reslicing)
+	// srcFree takes the drained source buffers, dstBufs hands out and takes
+	// back the re-home buffers; both are flushed whenever a pull finds the
+	// wire empty, and by drain.
+	srcFree *mempool.Cache
+	dstBufs *mempool.Cache
+	inFly   []delayed // FIFO delay line (head index avoids reslicing)
 	inHead  int
 
 	// classes stage re-homed frames per PCP; quantum/deficit/cursor drive
@@ -556,6 +561,8 @@ func newPump(name string, t *Trunk, dir direction, src, dst Endpoint, sh shaping
 		gauge:      src.NIC.CongestionGauge(),
 		drained:    make([]*mempool.Buf, batch),
 		homed:      make([]*mempool.Buf, batch),
+		srcFree:    src.Pool.NewCache(),
+		dstBufs:    dst.Pool.NewCache(),
 		rng:        0x9E3779B97F4A7C15 ^ uint64(dir+1),
 	}
 	if p.stagingCap <= 0 {
@@ -613,7 +620,7 @@ func (p *pump) pull() int {
 		lanes := *p.trunk.lanes.Load()
 		down := p.trunk.down.Load()
 		loss := math.Float64frombits(p.trunk.lossBits.Load())
-		got := p.dst.Pool.GetBatch(p.homed[:n])
+		got := p.dstBufs.GetBatch(p.homed[:n])
 		kept := 0
 		var unrouted uint64
 		for i := 0; i < n; i++ {
@@ -658,10 +665,10 @@ func (p *pump) pull() int {
 		}
 		// Unused destination buffers (demux/re-home failures) go straight back…
 		if kept < got {
-			mempool.FreeBatch(p.homed[kept:got])
+			p.dstBufs.FreeBatch(p.homed[kept:got])
 		}
 		// …and every source buffer returns to the transmitting node's pool.
-		mempool.FreeBatch(p.drained[:n])
+		p.srcFree.FreeBatch(p.drained[:n])
 		if unrouted > 0 {
 			p.unrouted.Add(unrouted)
 		}
@@ -669,6 +676,9 @@ func (p *pump) pull() int {
 			p.dropped.Add(uint64(d))
 		}
 		moved = n
+	} else {
+		p.srcFree.Flush()
+		p.dstBufs.Flush()
 	}
 	moved += p.schedule()
 	p.updateCongestion()
@@ -834,7 +844,7 @@ func (p *pump) deliver() int {
 		}
 		moved += k
 		if sent < k {
-			mempool.FreeBatch(p.homed[sent:k])
+			p.dstBufs.FreeBatch(p.homed[sent:k])
 			p.dropped.Add(uint64(k - sent))
 			for i := sent; i < k; i++ {
 				d := &p.inFly[winStart+i]
@@ -874,6 +884,8 @@ func (p *pump) drain() {
 		cq.q = nil
 		cq.head = 0
 	}
+	p.srcFree.Flush()
+	p.dstBufs.Flush()
 }
 
 // tokenBucket is a packet-granular rate limiter (rate 0 disables shaping).

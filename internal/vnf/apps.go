@@ -79,7 +79,7 @@ func NewFirewall(name string, in, out *dpdkr.PMD, pool *mempool.Pool, rules []Fi
 			}
 			if blocked {
 				fw.Blocked.Add(1)
-				b.Free()
+				ctx.Reject(b)
 			} else {
 				keep = append(keep, b)
 			}

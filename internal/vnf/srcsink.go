@@ -89,6 +89,10 @@ func (s *SrcSink) run() {
 	templates, batchSize := s.templates, s.batch
 	txBatch := make([]*mempool.Buf, batchSize)
 	rxBatch := make([]*mempool.Buf, batchSize)
+	// In a bidirectional chain what this end terminates feeds what it
+	// generates, so the cache keeps both off the shared freelist.
+	cache := s.pool.NewCache()
+	defer cache.Flush()
 	next := 0
 	// credit is the paced-mode generation budget, topped up by wall time.
 	// The burst cap (two batches) bounds how hard a starved endpoint slams
@@ -119,7 +123,7 @@ func (s *SrcSink) run() {
 		}
 		n := 0
 		if want > 0 {
-			n = s.pool.GetBatch(txBatch[:want])
+			n = cache.GetBatch(txBatch[:want])
 		}
 		if n > 0 {
 			var now int64
@@ -136,7 +140,7 @@ func (s *SrcSink) run() {
 			}
 			sent := s.pmd.Tx(txBatch[:n])
 			if sent < n {
-				mempool.FreeBatch(txBatch[sent:n])
+				cache.FreeBatch(txBatch[sent:n])
 			}
 			if s.rate > 0 {
 				credit -= float64(n)
@@ -146,8 +150,7 @@ func (s *SrcSink) run() {
 				work = true
 			}
 		}
-		// Terminate: account first, then return the burst to the pool in one
-		// batched free.
+		// Terminate: account first, then free the burst in one batch.
 		k := s.pmd.Rx(rxBatch)
 		if k > 0 {
 			var now int64
@@ -162,12 +165,13 @@ func (s *SrcSink) run() {
 					s.Lat.Observe(time.Duration(now - b.TS))
 				}
 			}
-			mempool.FreeBatch(rxBatch[:k])
+			cache.FreeBatch(rxBatch[:k])
 			s.Received.Add(uint64(k))
 			s.RxBytes.Add(bytes)
 			work = true
 		}
 		if !work {
+			cache.Flush()
 			runtime.Gosched()
 		}
 	}

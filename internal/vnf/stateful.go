@@ -144,23 +144,23 @@ func NewNAT44(name string, inside, outside *dpdkr.PMD, pool *mempool.Pool, cfg N
 		for _, b := range bufs {
 			if parser.Parse(b.Bytes()) != nil || !parser.Decoded.Has(pkt.LayerIPv4) {
 				n.Untransl.Add(1)
-				b.Free()
+				ctx.Reject(b)
 				continue
 			}
 			ft, ok := parser.FiveTuple()
 			if !ok || (ft.Proto != pkt.ProtoUDP && ft.Proto != pkt.ProtoTCP) {
 				n.Untransl.Add(1)
-				b.Free()
+				ctx.Reject(b)
 				continue
 			}
 			if inPort == 0 {
 				if !n.outbound(ct, &parser, ft, now) {
-					b.Free()
+					ctx.Reject(b)
 					continue
 				}
 			} else {
 				if !n.inbound(ct, &parser, ft, now) {
-					b.Free()
+					ctx.Reject(b)
 					continue
 				}
 			}
@@ -423,8 +423,8 @@ func NewACL(name string, in, out *dpdkr.PMD, pool *mempool.Pool, ct *conntrack.T
 		keep := bufs[:0]
 		for _, b := range bufs {
 			if parser.Parse(b.Bytes()) != nil {
-				b.Free()
 				a.Denied.Add(1)
+				ctx.Reject(b)
 				continue
 			}
 			ft, ok := parser.FiveTuple()
@@ -443,7 +443,7 @@ func NewACL(name string, in, out *dpdkr.PMD, pool *mempool.Pool, ct *conntrack.T
 			allow := f != nil && len(f.Actions) > 0 && f.Actions[0].Type == flow.ActOutput
 			if !allow {
 				a.Denied.Add(1)
-				b.Free()
+				ctx.Reject(b)
 				continue
 			}
 			if ok {
@@ -532,13 +532,13 @@ func NewBalancer(name string, client, backend *dpdkr.PMD, pool *mempool.Pool, cf
 		for _, b := range bufs {
 			if parser.Parse(b.Bytes()) != nil || !parser.Decoded.Has(pkt.LayerIPv4) {
 				lb.NotVIP.Add(1)
-				b.Free()
+				ctx.Reject(b)
 				continue
 			}
 			ft, ok := parser.FiveTuple()
 			if !ok || (ft.Proto != pkt.ProtoUDP && ft.Proto != pkt.ProtoTCP) {
 				lb.NotVIP.Add(1)
-				b.Free()
+				ctx.Reject(b)
 				continue
 			}
 			forward := false
@@ -548,7 +548,7 @@ func NewBalancer(name string, client, backend *dpdkr.PMD, pool *mempool.Pool, cf
 				forward = lb.toClient(ct, &parser, ft, now)
 			}
 			if !forward {
-				b.Free()
+				ctx.Reject(b)
 				continue
 			}
 			keep = append(keep, b)

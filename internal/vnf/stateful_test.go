@@ -127,6 +127,9 @@ func TestNAT44Translates(t *testing.T) {
 	if nat.Unsolicit.Load() == 0 {
 		t.Fatal("unsolicited drop not counted")
 	}
+	if got := app.Dropped.Load(); got != nat.Unsolicit.Load() {
+		t.Fatalf("app dropped = %d, want the %d unsolicited", got, nat.Unsolicit.Load())
+	}
 }
 
 func TestNAT44TCPLifecycle(t *testing.T) {
@@ -383,6 +386,9 @@ func TestACLEstablishedBypass(t *testing.T) {
 	if acl.Denied.Load() != 1 {
 		t.Fatalf("denied=%d", acl.Denied.Load())
 	}
+	if got := app.Dropped.Load(); got != 1 {
+		t.Fatalf("app dropped = %d, want the 1 denied", got)
+	}
 }
 
 // TestACLTableFullRollback pins the insert-pair rollback: when the forward
@@ -526,5 +532,8 @@ func TestBalancerPinsBackend(t *testing.T) {
 	}
 	if lb.NotVIP.Load() == 0 {
 		t.Fatal("non-VIP drop not counted")
+	}
+	if got := app.Dropped.Load(); got != lb.NotVIP.Load() {
+		t.Fatalf("app dropped = %d, want the %d non-VIP", got, lb.NotVIP.Load())
 	}
 }

@@ -77,15 +77,24 @@ func (s *Source) Start() { s.app.start(s.run) }
 func (s *Source) run() {
 	app, port := s.app, s.port
 	batch := make([]*mempool.Buf, app.batch)
+	cache := app.pool.NewCache()
+	defer cache.Flush()
+	// idle is every branch below that found nothing to do: hand back what
+	// the cache holds before yielding.
+	idle := func() {
+		if drain(port, cache) == 0 {
+			cache.Flush()
+			runtime.Gosched()
+		}
+	}
 	next := 0
 	credits := 0.0
 	last := time.Now()
 	for !app.stop.Load() {
 		if s.paused.Load() {
-			drain(port)
 			last = time.Now()
 			credits = 0
-			runtime.Gosched()
+			idle()
 			continue
 		}
 		want := app.batch
@@ -97,23 +106,19 @@ func (s *Source) run() {
 				credits = cap
 			}
 			if credits < 1 {
-				if drain(port) == 0 {
-					runtime.Gosched()
-				}
+				idle()
 				continue
 			}
 			if want > int(credits) {
 				want = int(credits)
 			}
 		}
-		n := app.pool.GetBatch(batch[:want])
+		n := cache.GetBatch(batch[:want])
 		if n == 0 {
 			// Pool exhausted: the chain is saturated. Yield instead of
 			// spinning — on few-core hosts a spinning source starves the
 			// consumers whose frees would refill the pool.
-			if drain(port) == 0 {
-				runtime.Gosched()
-			}
+			idle()
 			continue
 		}
 		for i := 0; i < n; i++ {
@@ -125,7 +130,7 @@ func (s *Source) run() {
 		}
 		sent := port.Tx(batch[:n])
 		if sent < n {
-			mempool.FreeBatch(batch[sent:n])
+			cache.FreeBatch(batch[sent:n])
 		}
 		s.Sent.Add(uint64(sent))
 		if s.rate > 0 {
@@ -133,21 +138,17 @@ func (s *Source) run() {
 		}
 		if sent == 0 {
 			// Ring full: back off until the downstream consumer runs.
-			if drain(port) == 0 {
-				runtime.Gosched()
-			}
+			idle()
 		}
 	}
 }
 
 // drain consumes and discards anything arriving at a generator port (e.g.
 // reverse-direction traffic in a misconfigured graph) so rings cannot jam.
-func drain(pmd *dpdkr.PMD) int {
+func drain(pmd *dpdkr.PMD, cache *mempool.Cache) int {
 	var scratch [8]*mempool.Buf
 	n := pmd.Rx(scratch[:])
-	if n > 0 {
-		mempool.FreeBatch(scratch[:n])
-	}
+	cache.FreeBatch(scratch[:n])
 	return n
 }
 

@@ -22,9 +22,17 @@ import (
 // buffer must be either transmitted via ctx.Tx or freed.
 type Handler func(ctx *Ctx, inPort int, bufs []*mempool.Buf)
 
-// Ctx is the per-App view handlers operate through.
+// Ctx is the per-App view handlers operate through. Everything it frees goes
+// into the lcore goroutine's buffer cache, which the run loop flushes when
+// idle and on exit.
 type Ctx struct {
-	app *App
+	app   *App
+	cache *mempool.Cache
+	// rejects collects the buffers the running handler call has Rejected.
+	rejects []*mempool.Buf
+	// blocked records that a Tx since the run loop last looked found its ring
+	// full: the loop yields so the consumer that would drain it can run.
+	blocked bool
 }
 
 // Tx transmits bufs on the app's out-th port, freeing whatever the ring
@@ -33,7 +41,8 @@ func (c *Ctx) Tx(out int, bufs []*mempool.Buf) {
 	pmd := c.app.pmds[out]
 	n := pmd.Tx(bufs)
 	if n < len(bufs) {
-		mempool.FreeBatch(bufs[n:])
+		c.cache.FreeBatch(bufs[n:])
+		c.blocked = true
 	}
 	c.app.TxPackets.Add(uint64(n))
 	c.app.TxDrops.Add(uint64(len(bufs) - n))
@@ -42,10 +51,14 @@ func (c *Ctx) Tx(out int, bufs []*mempool.Buf) {
 // Drop frees all bufs in one batched free, counting them as intentional
 // drops.
 func (c *Ctx) Drop(bufs []*mempool.Buf) {
-	n := len(bufs)
-	mempool.FreeBatch(bufs)
-	c.app.Dropped.Add(uint64(n))
+	c.cache.FreeBatch(bufs)
+	c.app.Dropped.Add(uint64(len(bufs)))
 }
+
+// Reject is Drop for a handler that filters its burst packet by packet: b is
+// set aside, and when the handler returns the run loop Drops everything it
+// rejected in one batch.
+func (c *Ctx) Reject(b *mempool.Buf) { c.rejects = append(c.rejects, b) }
 
 // Pool returns the app's buffer pool (for handlers that synthesize packets).
 func (c *Ctx) Pool() *mempool.Pool { return c.app.pool }
@@ -127,7 +140,8 @@ func New(cfg Config) (*App, error) {
 func (a *App) Start() { a.start(a.run) }
 
 func (a *App) run() {
-	ctx := &Ctx{app: a}
+	ctx := &Ctx{app: a, cache: a.pool.NewCache()}
+	defer ctx.cache.Flush()
 	batch := make([]*mempool.Buf, a.batch)
 	for !a.stop.Load() {
 		work := false
@@ -139,8 +153,16 @@ func (a *App) run() {
 			work = true
 			a.RxPackets.Add(uint64(n))
 			a.handler(ctx, i, batch[:n])
+			if len(ctx.rejects) > 0 {
+				ctx.Drop(ctx.rejects)
+				ctx.rejects = ctx.rejects[:0]
+			}
 		}
 		if !work {
+			ctx.cache.Flush()
+			runtime.Gosched()
+		} else if ctx.blocked {
+			ctx.blocked = false
 			runtime.Gosched()
 		}
 	}

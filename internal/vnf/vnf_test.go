@@ -131,6 +131,9 @@ func TestFirewallBlocksMatching(t *testing.T) {
 	if fw.Blocked.Load() != 1 {
 		t.Fatalf("blocked = %d", fw.Blocked.Load())
 	}
+	if got := app.Dropped.Load(); got != 1 {
+		t.Fatalf("app dropped = %d, want the 1 blocked", got)
+	}
 
 	// Passed: different destination port.
 	okSpec := spec

@@ -116,6 +116,19 @@ type pmdThread struct {
 	// deterministic flush. Both retain their capacity across batches.
 	txAcc     [][]*mempool.Buf
 	txTouched []int
+
+	// drops collects the buffers the current burst kills (parse errors,
+	// table misses, drop actions, TTL expiry, output to nowhere) so they are
+	// freed once, in one batch, after the burst's TX flush. They go into the
+	// thread's buffer cache, flushed whenever an iteration finds no frames
+	// and when the thread exits.
+	drops []*mempool.Buf
+	cache mempool.Cache
+
+	// blocked records that a TX flush since run last looked found a
+	// destination ring full (the port freed and counted the overflow): run
+	// yields so the consumer that would drain it gets the core.
+	blocked bool
 }
 
 func newPMDThread(s *Switch, idx int) *pmdThread {
@@ -132,6 +145,7 @@ func newPMDThread(s *Switch, idx int) *pmdThread {
 		groups:    make([]flowGroup, s.cfg.BatchSize),
 		missIdx:   make([]int32, 0, s.cfg.BatchSize),
 		txTouched: make([]int, 0, 8),
+		drops:     make([]*mempool.Buf, 0, s.cfg.BatchSize),
 	}
 	if !s.cfg.SMCDisabled {
 		// Only allocated when in use: the SMC's entry array (~768 KB at the
@@ -175,9 +189,11 @@ func (p *pmdThread) owns(id uint32) bool {
 }
 
 func (p *pmdThread) run() {
+	defer p.cache.Flush()
 	p.tick = p.clock()
 	for !p.stop.Load() {
-		if p.iterate() == 0 {
+		if p.iterate() == 0 || p.blocked {
+			p.blocked = false
 			runtime.Gosched()
 		}
 	}
@@ -228,6 +244,9 @@ func (p *pmdThread) iterate() int {
 	}
 	p.totalNanos.Add(uint64(stamp - p.tick))
 	p.tick = stamp
+	if frames == 0 {
+		p.cache.Flush()
+	}
 	return frames
 }
 
@@ -262,7 +281,7 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 		b.Port = inPort
 		frame := b.Bytes()
 		if err := p.parser.Parse(frame); err != nil {
-			b.Free()
+			p.drops = append(p.drops, b)
 			parseErrs++
 			continue
 		}
@@ -385,10 +404,17 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 		multiPMD := p.s.cfg.NumPMDs > 1
 		for _, idx := range p.txTouched {
 			batch := p.txAcc[idx]
-			snap.order[idx].send(batch, multiPMD)
+			if snap.order[idx].send(batch, multiPMD) < len(batch) {
+				p.blocked = true
+			}
 			p.txAcc[idx] = batch[:0]
 		}
 		p.txTouched = p.txTouched[:0]
+	}
+
+	if len(p.drops) > 0 {
+		p.cache.FreeBatch(p.drops)
+		p.drops = p.drops[:0]
 	}
 }
 
@@ -396,7 +422,7 @@ func (p *pmdThread) tableMiss(inPort uint32, b *mempool.Buf) {
 	if p.s.cfg.TableMissToController {
 		p.punt(inPort, b, 0 /* OFPR_NO_MATCH */)
 	}
-	b.Free()
+	p.drops = append(p.drops, b)
 }
 
 // punt copies the frame into a pooled payload and hands it to the controller
@@ -610,12 +636,12 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 					if _, err := m.buf.Prepend(pkt.VLANLen); err != nil {
 						// No headroom left (already deeply encapsulated): the
 						// frame cannot carry the tag, drop it.
-						m.buf.Free()
+						p.drops = append(p.drops, m.buf)
 						m.buf = nil
 						continue
 					}
 					if err := pkt.PushVlan(m.buf.Bytes(), a.Vlan, 0); err != nil {
-						m.buf.Free()
+						p.drops = append(p.drops, m.buf)
 						m.buf = nil
 						continue
 					}
@@ -673,7 +699,7 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 					}
 					ttl := m.ipv4.TTL()
 					if ttl <= 1 {
-						m.buf.Free()
+						p.drops = append(p.drops, m.buf)
 						m.buf = nil
 						continue
 					}
@@ -688,12 +714,12 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 	}
 }
 
-// freeGroup frees every live buffer in the group chain and returns how many
+// freeGroup drops every live buffer in the group chain and returns how many
 // there were.
 func (p *pmdThread) freeGroup(g *flowGroup) (freed uint64) {
 	for i := g.first; i >= 0; i = p.metas[i].next {
 		if m := &p.metas[i]; m.buf != nil {
-			m.buf.Free()
+			p.drops = append(p.drops, m.buf)
 			m.buf = nil
 			freed++
 		}
