@@ -294,6 +294,10 @@ func BenchmarkClassifierSubtables(b *testing.B) {
 	}
 }
 
+// alwaysDisplace is the zero flow.Admission: the benchmarks that fill a cache
+// by hand let every insertion evict.
+var alwaysDisplace flow.Admission
+
 // BenchmarkEMCLookup pins the cost of the cache-tier lookups the PMD pays
 // on every steady-state packet: a hit in the exact-match cache (first
 // tier) and in the signature-match cache (second tier, probed on EMC
@@ -305,11 +309,10 @@ func BenchmarkEMCLookup(b *testing.B) {
 	key := flow.Key{InPort: 1, EthType: 0x0800, IPProto: 17, L4Src: 5000, L4Dst: 9000}
 	kp := key.Pack()
 	hash64 := kp.Hash64()
-	hash := uint32(hash64)
 	gen := tb.Generation()
 	b.Run("emc", func(b *testing.B) {
 		emc := flow.NewEMC(8192)
-		emc.Put(&kp, hash64, f, gen)
+		emc.Put(&kp, hash64, f, gen, &alwaysDisplace)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -320,11 +323,11 @@ func BenchmarkEMCLookup(b *testing.B) {
 	})
 	b.Run("smc", func(b *testing.B) {
 		smc := flow.NewSMC(32768)
-		smc.Insert(&kp, hash, f, gen)
+		smc.Put(hash64, f, gen, &alwaysDisplace)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if smc.Lookup(&kp, hash, gen) == nil {
+			if hit, _ := smc.Probe(&kp, hash64, gen); hit == nil {
 				b.Fatal("unexpected SMC miss")
 			}
 		}
@@ -389,7 +392,7 @@ func BenchmarkLookupChurn(b *testing.B) {
 				if f != nil {
 					hits++
 				} else if f = tb.LookupPacked(&kps[j]); f != nil {
-					emc.Put(&kps[j], hashes[j], f, g)
+					emc.Put(&kps[j], hashes[j], f, g, &alwaysDisplace)
 				}
 				lookups++
 			}
@@ -739,7 +742,7 @@ func BenchmarkStage(b *testing.B) {
 			b.Fatal(err)
 		}
 		hashes[i] = flow.PackFrame(&parsers[i], frames[i], 1, &kps[i])
-		if _, evicted := emc.Put(&kps[i], hashes[i], f, gen); evicted {
+		if _, evicted := emc.Put(&kps[i], hashes[i], f, gen, &alwaysDisplace); evicted {
 			b.Fatalf("flow %d evicted another from its EMC set: the working set must stay resident", i)
 		}
 	}
@@ -778,6 +781,29 @@ func BenchmarkStage(b *testing.B) {
 	})
 }
 
+// processBatchRig is the fixture of the synchronous whole-hop benchmarks: a
+// switch that is never started, two ports forwarding to each other, and one
+// 32-frame burst of the default UDP frame.
+func processBatchRig() (sw *vswitch.Switch, pmdA, pmdB *dpdkr.PMD, bufs []*mempool.Buf) {
+	sw = vswitch.New(vswitch.Config{SweepInterval: time.Hour})
+	pool := mempool.MustNew(mempool.Config{Capacity: 2048})
+	portA, pmdA, _ := dpdkr.NewPort(1, "a", 1024)
+	portB, pmdB, _ := dpdkr.NewPort(2, "b", 1024)
+	sw.AddPort(portA)
+	sw.AddPort(portB)
+	sw.Table().Add(10, flow.MatchInPort(1), flow.Actions{flow.Output(2)}, 0)
+	sw.Table().Add(10, flow.MatchInPort(2), flow.Actions{flow.Output(1)}, 0)
+
+	raw := make([]byte, 256)
+	n, _ := pkt.BuildUDP(raw, DefaultTrafficSpec())
+	bufs = make([]*mempool.Buf, 32)
+	for i := range bufs {
+		bufs[i], _ = pool.Get()
+		bufs[i].SetBytes(raw[:n])
+	}
+	return sw, pmdA, pmdB, bufs
+}
+
 // BenchmarkProcessBatch is BenchmarkPMDBatch/untagged without the two
 // goroutine hand-offs per burst: the switch is never started, and each op
 // pushes one 32-packet burst into the ingress ring, runs one forwarding-loop
@@ -785,21 +811,7 @@ func BenchmarkStage(b *testing.B) {
 // hash, EMC, group, output, flush) and takes the burst off the egress ring.
 // ns/op over 32 is what one hop costs a packet; 0 allocs/op, CI-gated.
 func BenchmarkProcessBatch(b *testing.B) {
-	sw := vswitch.New(vswitch.Config{SweepInterval: time.Hour})
-	pool := mempool.MustNew(mempool.Config{Capacity: 2048})
-	portA, pmdA, _ := dpdkr.NewPort(1, "a", 1024)
-	portB, pmdB, _ := dpdkr.NewPort(2, "b", 1024)
-	sw.AddPort(portA)
-	sw.AddPort(portB)
-	sw.Table().Add(10, flow.MatchInPort(1), flow.Actions{flow.Output(2)}, 0)
-
-	raw := make([]byte, 256)
-	n, _ := pkt.BuildUDP(raw, DefaultTrafficSpec())
-	bufs := make([]*mempool.Buf, 32)
-	for i := range bufs {
-		bufs[i], _ = pool.Get()
-		bufs[i].SetBytes(raw[:n])
-	}
+	sw, pmdA, pmdB, bufs := processBatchRig()
 	burst := func() {
 		if pmdA.Tx(bufs) != len(bufs) || sw.PollOnce() != len(bufs) || pmdB.Rx(bufs) != len(bufs) {
 			b.Fatal("burst did not cross the switch whole")
@@ -812,6 +824,51 @@ func BenchmarkProcessBatch(b *testing.B) {
 		burst()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(bufs)), "ns/pkt")
+}
+
+// BenchmarkProcessBatchMiss is BenchmarkProcessBatch on a working set no
+// cache can hold: 65 536 UDP source ports cycled in order, each crossing the
+// switch twice (in on port 1, then in on port 2), so 131 072 distinct keys
+// come round against an 8192-entry EMC and a 32 768-entry SMC — the
+// nic1-flows64k shape without the NICs. One op is one 32-frame burst in each
+// direction; ns/pkt is what a hop costs when most lookups end in the
+// classifier, and the three percentages are where the window's lookups
+// resolved (they sum to 100 with dedup-%, which this traffic keeps at 0).
+// 0 allocs/op, CI-gated.
+func BenchmarkProcessBatchMiss(b *testing.B) {
+	const flows = 1 << 16
+	sw, pmdA, pmdB, bufs := processBatchRig()
+	next := 0
+	burst := func() {
+		for _, buf := range bufs {
+			fb := buf.Bytes()
+			fb[rigSrcPortOff], fb[rigSrcPortOff+1] = byte(next>>8), byte(next)
+			fb[rigSrcPortOff+6], fb[rigSrcPortOff+7] = 0, 0 // UDP checksum: not computed
+			next = (next + 1) & (flows - 1)
+		}
+		if pmdA.Tx(bufs) != len(bufs) || sw.PollOnce() != len(bufs) || pmdB.Rx(bufs) != len(bufs) ||
+			pmdB.Tx(bufs) != len(bufs) || sw.PollOnce() != len(bufs) || pmdA.Rx(bufs) != len(bufs) {
+			b.Fatal("burst did not cross the switch whole")
+		}
+	}
+	for i := 0; i < 2*flows/len(bufs); i++ {
+		burst() // two passes over the working set: the caches hold what they will keep
+	}
+	before := sw.DatapathStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		burst()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*len(bufs)), "ns/pkt")
+	d := sw.DatapathStats().Delta(before)
+	walks := d.ClassifierHits + d.ClassifierMisses
+	if total := float64(d.EMC.Hits + d.SMC.Hits + d.DedupHits + walks); total > 0 {
+		b.ReportMetric(100*float64(d.EMC.Hits)/total, "emc-%")
+		b.ReportMetric(100*float64(d.SMC.Hits)/total, "smc-%")
+		b.ReportMetric(100*float64(walks)/total, "cls-%")
+	}
 }
 
 // BenchmarkMempool times what the two ends of a chain pay the buffer pool per

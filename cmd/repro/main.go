@@ -224,7 +224,9 @@ func incast(cfg highway.ExperimentConfig) error {
 
 func flowscale(cfg highway.ExperimentConfig) error {
 	fmt.Println("=== Flow scale: distinct 5-tuples × flow-table delete churn ===")
-	fmt.Println("    (tier shift as flows outgrow each cache: EMC → SMC → classifier;")
+	fmt.Println("    (tier shift as flows outgrow each cache: EMC → SMC → classifier, each")
+	fmt.Println("     cache keeping its capacity's share of a set it cannot hold — live")
+	fmt.Println("     entries are displaced one miss in emc-insert-inv-prob, default 100;")
 	fmt.Println("     unrelated delete churn barely dents it — death-mark invalidation)")
 	fmt.Printf("%8s %10s %10s %8s %8s %8s %8s %12s\n",
 		"flows", "churn/s", "Mpps", "emc%", "smc%", "dedup%", "cls%", "pmd busy")
@@ -241,13 +243,13 @@ func flowscale(cfg highway.ExperimentConfig) error {
 	}
 
 	// Skewed traffic: persistent elephants plus an endless stream of
-	// one-shot mice (fresh ephemeral ports, never seen twice). With
-	// unconditional insertion every mouse claims an EMC slot it will never
-	// use again, evicting a live elephant to do so; the OVS
-	// emc-insert-inv-prob policy (1-in-N insertion) suppresses exactly
-	// those evictions — watch the conflicts column collapse while
-	// throughput rises. (SMC off and a small EMC put the pressure where the
-	// policy acts.)
+	// one-shot mice (fresh ephemeral ports, never seen twice). When every
+	// resolution may displace (invprob 1) each mouse that finds its set full
+	// evicts a live elephant for a slot it will never use again; the OVS
+	// emc-insert-inv-prob policy (a live entry is displaced one time in N;
+	// vacant ways are always taken) suppresses exactly those evictions —
+	// watch the conflicts column collapse while throughput rises. (SMC off
+	// and a small EMC put the pressure where the policy acts.)
 	fmt.Println("    Zipf-skewed traffic (s=1.25): 256 persistent elephants, the cold")
 	fmt.Println("    half of the ranks replaced by one-shot mice; 1k-entry EMC, SMC off")
 	fmt.Println("    — emc-insert-inv-prob sweep:")

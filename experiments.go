@@ -36,10 +36,12 @@ type ExperimentConfig struct {
 	EMCEntries int
 	// SMCDisabled turns the signature-match cache off (ablation A5).
 	SMCDisabled bool
-	// EMCInsertInvProb is the vswitch emc-insert-inv-prob knob: 1 = insert
-	// every classifier resolution into the EMC (default), N = one in N —
-	// the OVS policy that keeps elephants from being churned out by mice
-	// under heavy-tailed traffic.
+	// EMCInsertInvProb is the vswitch emc-insert-inv-prob knob: a
+	// classifier resolution may displace a LIVE EMC or SMC entry one time in
+	// N (vacant, stale and dead ways are always taken). 0 = the vswitch
+	// default, 100; 1 = always displace — the replace-on-every-miss contrast
+	// arm that lets one-packet mice churn elephants out under heavy-tailed
+	// traffic.
 	EMCInsertInvProb int
 	// ZipfSkew, when > 1, switches the flowscale generator from uniform
 	// cycling to a Zipf(s) draw over the flow ids: a few elephant flows

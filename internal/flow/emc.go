@@ -1,9 +1,6 @@
 package flow
 
-import (
-	"encoding/binary"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // EMC is an exact-match cache: a direct-mapped, 2-way cache from full packet
 // keys to classification results, owned by a single PMD thread (no locking).
@@ -69,17 +66,6 @@ func NewEMC(entries int) *EMC {
 	}
 }
 
-// equal is *p == *o as five word compares with no branch between them. The
-// compiler's array compare is a call into the runtime's byte loop, ~6 ns
-// dearer per EMC hit (BenchmarkProcessBatch 49 vs 55 ns/pkt).
-func (p *Packed) equal(o *Packed) bool {
-	return (binary.LittleEndian.Uint64(p[0:8])^binary.LittleEndian.Uint64(o[0:8]))|
-		(binary.LittleEndian.Uint64(p[8:16])^binary.LittleEndian.Uint64(o[8:16]))|
-		(binary.LittleEndian.Uint64(p[16:24])^binary.LittleEndian.Uint64(o[16:24]))|
-		(binary.LittleEndian.Uint64(p[24:32])^binary.LittleEndian.Uint64(o[24:32]))|
-		uint64(binary.LittleEndian.Uint32(p[32:36])^binary.LittleEndian.Uint32(o[32:36])) == 0
-}
-
 // Probe returns the cached flow for the packed key, or nil on miss: the
 // cache's one lookup. hash must be kp's Hash64 (its low half picks the set,
 // all of it is the entry signature) and gen the owning table's current
@@ -91,7 +77,7 @@ func (c *EMC) Probe(kp *Packed, hash, gen uint64) *Flow {
 	base := int(uint32(hash)&c.mask) * emcWays
 	for w := 0; w < emcWays; w++ {
 		e := &c.entries[base+w]
-		if e.sig != hash || e.gen != gen || !e.key.equal(kp) {
+		if e.sig != hash || e.gen != gen || !e.key.Equal(kp) {
 			continue
 		}
 		if f := e.flow; f != nil && !f.Dead() {
@@ -119,9 +105,66 @@ func (c *EMC) Count(hits, misses uint64) {
 // re-points flow.emc_hit_ns: by-value key, hash recomputed here.
 func (c *EMC) Lookup(kp Packed, _ uint32, gen uint64) *Flow { return c.Probe(&kp, kp.Hash64(), gen) }
 
-// Insert is Put for bench/layers.go until the next `benchmark` PR re-points
-// flow.emc_hit_ns: by-value key, hash recomputed here.
-func (c *EMC) Insert(kp Packed, _ uint32, f *Flow, gen uint64) { c.Put(&kp, kp.Hash64(), f, gen) }
+// Insert is an always-displacing Put for bench/layers.go until the next
+// `benchmark` PR re-points flow.emc_hit_ns: by-value key, hash recomputed
+// here.
+func (c *EMC) Insert(kp Packed, _ uint32, f *Flow, gen uint64) {
+	c.Put(&kp, kp.Hash64(), f, gen, new(Admission))
+}
+
+// Admission is the one rule both cache tiers admit a classifier-resolved key
+// under. A way that holds nothing worth keeping — vacant, cached at an older
+// generation, or pointing at a death-marked flow — is always taken: its set
+// is already in L1 from the probe that just missed, and warm-up and the
+// refill after delete churn must not wait on a lottery. Displacing a LIVE way
+// (the EMC's shift-and-evict, the SMC's round-robin victim) happens for one
+// resolution in inv, OVS's emc-insert-inv-prob. Replace-on-every-miss is the
+// one policy a cyclic scan of W keys over C ways defeats completely — each
+// key is evicted before it comes round again, hit rate 0 — while a cache
+// that mostly refuses to displace keeps whatever C keys it holds and serves
+// C/W of the scan.
+//
+// One Admission belongs to one PMD thread. Next opens a resolution; the
+// first tier that would have to displace draws (xorshift32, then a
+// multiply-shift into [0, inv) — no division), and the answer holds for the
+// rest of that resolution, so the EMC's demoted victim and the key's own SMC
+// entry follow the same verdict. A resolution that finds room in both tiers
+// draws nothing. The zero value displaces always.
+type Admission struct {
+	rng   uint32 // xorshift32 state: never zero when inv > 1
+	inv   uint32 // displace for one resolution in inv; ≤ 1 = every one
+	drawn bool
+	win   bool
+}
+
+// NewAdmission returns the rule at inverse probability invProb (≤ 1: every
+// resolution may displace), its generator seeded from seed.
+func NewAdmission(seed uint32, invProb int) Admission {
+	if invProb < 1 {
+		invProb = 1
+	}
+	return Admission{rng: seed | 1, inv: uint32(invProb)}
+}
+
+// Next opens the next classifier resolution: its verdict is not drawn yet.
+func (a *Admission) Next() { a.drawn = false }
+
+// displace reports whether this resolution may evict a live way.
+func (a *Admission) displace() bool {
+	if a.inv <= 1 {
+		return true
+	}
+	if !a.drawn {
+		x := a.rng
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		a.rng = x
+		a.win = uint64(x)*uint64(a.inv)>>32 == 0
+		a.drawn = true
+	}
+	return a.win
+}
 
 // EMCVictim is a live entry an insertion displaced: the key, its stored
 // Hash64 and the flow it resolved to.
@@ -131,41 +174,46 @@ type EMCVictim struct {
 	Flow *Flow
 }
 
+// live reports whether the way holds a result worth keeping at gen.
+func (e *emcEntry) live(gen uint64) bool {
+	return e.gen == gen && e.flow != nil && !e.flow.Dead()
+}
+
 // Put caches a classification result obtained at gen under kp's Hash64. A
 // nil flow is never cached (misses in the classifier go to the slow path and
-// may install new state). Stale ways (older generations, dead flows) are
-// preferred victims; among live ways the set behaves as insertion-order
-// LRU.
+// may install new state). A key already in the set is re-validated in place
+// and a way that is not live is taken unconditionally; with both ways live
+// the insertion happens only if a allows a displacement, and then the set
+// behaves as insertion-order LRU: way 0 receives the new entry, its occupant
+// shifts to way 1, way 1's is evicted.
 //
-// When the insertion replaces a LIVE entry, that victim is returned with
-// evicted=true: the caller demotes it into the SMC (OVS-style) under the
-// hash the entry already holds, so the second tier warms with exactly the
-// flows the first tier can no longer hold — without waiting for their next
-// classifier walk and without hashing the victim's key again.
-func (c *EMC) Put(kp *Packed, hash uint64, f *Flow, gen uint64) (v EMCVictim, evicted bool) {
+// That evicted LIVE entry is returned with evicted=true: the caller demotes
+// it into the SMC (OVS-style) under the hash the entry already holds, so the
+// second tier warms with exactly the flows the first tier can no longer hold
+// — without waiting for their next classifier walk and without hashing the
+// victim's key again.
+func (c *EMC) Put(kp *Packed, hash uint64, f *Flow, gen uint64, a *Admission) (v EMCVictim, evicted bool) {
 	if f == nil {
 		return v, false
 	}
 	base := int(uint32(hash)&c.mask) * emcWays
-	// Re-validation of a key already present in the set updates in place.
 	for w := 0; w < emcWays; w++ {
 		e := &c.entries[base+w]
-		if e.gen != 0 && e.sig == hash && e.key.equal(kp) {
+		if e.gen != 0 && e.sig == hash && e.key.Equal(kp) {
 			e.gen = gen
 			e.flow = f
 			return v, false
 		}
 	}
-	// A stale or dead way 0 can be overwritten without touching a
-	// possibly-live way 1.
 	e0, e1 := &c.entries[base], &c.entries[base+1]
-	if e0.gen != gen || e0.flow == nil || e0.flow.Dead() {
+	if !e0.live(gen) {
 		*e0 = emcEntry{sig: hash, gen: gen, flow: f, key: *kp}
 		return v, false
 	}
-	// Way 0 receives the newest entry; the previous way-0 occupant shifts to
-	// way 1, evicting the set's oldest entry (insertion-order LRU).
-	if e1.gen == gen && e1.flow != nil && !e1.flow.Dead() {
+	if e1.live(gen) {
+		if !a.displace() {
+			return v, false
+		}
 		c.conflicts.Add(1)
 		v, evicted = EMCVictim{Key: e1.key, Hash: e1.sig, Flow: e1.flow}, true
 	}

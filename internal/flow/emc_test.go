@@ -19,7 +19,7 @@ func TestEMCProbeSignatureFirst(t *testing.T) {
 
 	t.Run("exact match stays exact", func(t *testing.T) {
 		c := NewEMC(64)
-		c.Put(&kp, h, fl, gen)
+		c.Put(&kp, h, fl, gen, always)
 		if c.Probe(&kp, h, gen) != fl {
 			t.Fatal("stored key missed")
 		}
@@ -50,7 +50,7 @@ func TestEMCProbeSignatureFirst(t *testing.T) {
 		doomed := tb.Add(10, MatchInPort(1), Actions{Output(2)}, 0)
 		gen := tb.Generation()
 		c := NewEMC(64)
-		c.Put(&kp, h, doomed, gen)
+		c.Put(&kp, h, doomed, gen, always)
 		if !tb.DeleteStrict(10, MatchInPort(1)) {
 			t.Fatal("delete failed")
 		}
@@ -66,7 +66,7 @@ func TestEMCProbeSignatureFirst(t *testing.T) {
 		}
 		// A scrubbed way is the preferred victim: the next insertion into the
 		// set takes it without evicting anything.
-		if _, ev := c.Put(&kp, h, fl, gen); ev {
+		if _, ev := c.Put(&kp, h, fl, gen, always); ev {
 			t.Fatal("insertion over a scrubbed way reported an eviction")
 		}
 		if c.Probe(&kp, h, gen) != fl {

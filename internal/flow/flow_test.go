@@ -405,7 +405,7 @@ func TestEMCHitMissFlush(t *testing.T) {
 	if got := c.Probe(&kp, h, v); got != nil {
 		t.Fatal("cold cache hit")
 	}
-	c.Put(&kp, h, fl, v)
+	c.Put(&kp, h, fl, v, always)
 	if got := c.Probe(&kp, h, v); got != fl {
 		t.Fatal("warm cache miss")
 	}
@@ -429,7 +429,7 @@ func TestEMCNilNotCached(t *testing.T) {
 	c := NewEMC(64)
 	k := key(1, 0, 0, 0, 0, 0)
 	kp := k.Pack()
-	c.Put(&kp, kp.Hash64(), nil, 0)
+	c.Put(&kp, kp.Hash64(), nil, 0, always)
 	if got := c.Probe(&kp, kp.Hash64(), 0); got != nil {
 		t.Fatal("nil flow was cached")
 	}
@@ -448,7 +448,7 @@ func TestEMCConflictEviction(t *testing.T) {
 		k := key(uint32(i), 0, 0, 0, 0, 0)
 		kp := k.Pack()
 		keys = append(keys, kp)
-		c.Put(&kp, h, fl, v)
+		c.Put(&kp, h, fl, v, always)
 	}
 	// Newest two must be present, oldest evicted.
 	if c.Probe(&keys[2], h, v) != fl || c.Probe(&keys[1], h, v) != fl {
@@ -476,8 +476,8 @@ func TestEMCGenerationInvalidatesOnlyStaleEntries(t *testing.T) {
 	kb := key(2, 11, 22, pkt.ProtoUDP, 3, 4)
 	kpa, kpb := ka.Pack(), kb.Pack()
 	v1 := tb.Version()
-	c.Put(&kpa, kpa.Hash64(), fa, v1)
-	c.Put(&kpb, kpb.Hash64(), fb, v1)
+	c.Put(&kpa, kpa.Hash64(), fa, v1, always)
+	c.Put(&kpb, kpb.Hash64(), fb, v1, always)
 
 	// Mutate the table: both cached entries are now stale.
 	tb.Add(30, MatchInPort(3), Actions{Output(1)}, 0)
@@ -492,7 +492,7 @@ func TestEMCGenerationInvalidatesOnlyStaleEntries(t *testing.T) {
 	// Re-validate only A at v2. B must stay invalid, A must hit — i.e. the
 	// re-validation did not depend on a whole-cache flush and did not
 	// resurrect B.
-	c.Put(&kpa, kpa.Hash64(), fa, v2)
+	c.Put(&kpa, kpa.Hash64(), fa, v2, always)
 	if c.Probe(&kpa, kpa.Hash64(), v2) != fa {
 		t.Fatal("re-validated entry missed")
 	}
@@ -517,7 +517,7 @@ func TestEMCNeverServesRemovedFlow(t *testing.T) {
 	k := key(1, 11, 22, pkt.ProtoUDP, 1, 2)
 	kp := k.Pack()
 	v1 := tb.Version()
-	c.Put(&kp, kp.Hash64(), fl, v1)
+	c.Put(&kp, kp.Hash64(), fl, v1, always)
 	if c.Probe(&kp, kp.Hash64(), v1) != fl {
 		t.Fatal("warm cache missed")
 	}
@@ -550,7 +550,7 @@ func TestEMCInsertPrefersStaleVictim(t *testing.T) {
 	key0 := key(10, 0, 0, 0, 0, 0)
 	key1 := key(11, 0, 0, 0, 0, 0)
 	k0, k1 := key0.Pack(), key1.Pack()
-	c.Put(&k0, h, fl, v1)
+	c.Put(&k0, h, fl, v1, always)
 
 	tb.Add(2, MatchInPort(9), Actions{Output(1)}, 0) // version gap v1 → v3
 	fl2 := tb.Add(3, MatchInPort(8), Actions{Output(1)}, 0)
@@ -558,12 +558,12 @@ func TestEMCInsertPrefersStaleVictim(t *testing.T) {
 
 	// k1 lands at v3; k0's entry (v1) is stale and must be the victim even
 	// though it sits in way 0.
-	c.Put(&k1, h, fl2, v3)
+	c.Put(&k1, h, fl2, v3, always)
 	if c.Probe(&k1, h, v3) != fl2 {
 		t.Fatal("fresh entry missing")
 	}
 	// A second fresh insert shifts into the empty way — no conflict yet.
-	c.Put(&k0, h, fl2, v3)
+	c.Put(&k0, h, fl2, v3, always)
 	if c.Probe(&k0, h, v3) != fl2 || c.Probe(&k1, h, v3) != fl2 {
 		t.Fatal("live entries lost")
 	}
@@ -573,7 +573,7 @@ func TestEMCInsertPrefersStaleVictim(t *testing.T) {
 	// A third insert finds both ways live at v3: now it must conflict-evict.
 	key2 := key(12, 0, 0, 0, 0, 0)
 	k2 := key2.Pack()
-	c.Put(&k2, h, fl2, v3)
+	c.Put(&k2, h, fl2, v3, always)
 	if got := c.Stats().Conflicts; got != 1 {
 		t.Fatalf("conflicts = %d, want 1 (both ways were live)", got)
 	}
@@ -640,7 +640,7 @@ func BenchmarkEMCLookupHit(b *testing.B) {
 	kp := k.Pack()
 	h := kp.Hash64()
 	v := tb.Version()
-	c.Put(&kp, h, fl, v)
+	c.Put(&kp, h, fl, v, always)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if c.Probe(&kp, h, v) == nil {

@@ -87,26 +87,52 @@ func (m *Mask) Pack() Packed {
 	return k.Pack()
 }
 
-// And returns p masked by m, byte-wise.
+// words returns the key as its five little-endian words, the last one the
+// four-byte tail zero-extended: the unit Hash64, Equal, And, MaskedEqual and
+// the classifier subtables all work in. Five results, not an array: the
+// compiler keeps scalars in registers and a [5]uint64 on the stack.
+func (p *Packed) words() (w0, w1, w2, w3, w4 uint64) {
+	return binary.LittleEndian.Uint64(p[0:8]),
+		binary.LittleEndian.Uint64(p[8:16]),
+		binary.LittleEndian.Uint64(p[16:24]),
+		binary.LittleEndian.Uint64(p[24:32]),
+		uint64(binary.LittleEndian.Uint32(p[32:36]))
+}
+
+// Equal is *p == *o as five word compares with no branch between them. The
+// compiler's array compare is a call into the runtime's byte loop, ~6 ns
+// dearer per EMC hit (BenchmarkProcessBatch 49 vs 55 ns/pkt). Spelled out
+// rather than built on words so it stays inside the inlining budget.
+func (p *Packed) Equal(o *Packed) bool {
+	return (binary.LittleEndian.Uint64(p[0:8])^binary.LittleEndian.Uint64(o[0:8]))|
+		(binary.LittleEndian.Uint64(p[8:16])^binary.LittleEndian.Uint64(o[8:16]))|
+		(binary.LittleEndian.Uint64(p[16:24])^binary.LittleEndian.Uint64(o[16:24]))|
+		(binary.LittleEndian.Uint64(p[24:32])^binary.LittleEndian.Uint64(o[24:32]))|
+		uint64(binary.LittleEndian.Uint32(p[32:36])^binary.LittleEndian.Uint32(o[32:36])) == 0
+}
+
+// And returns p masked by m, five words at a time.
 func (p Packed) And(m Packed) Packed {
+	a0, a1, a2, a3, a4 := p.words()
+	b0, b1, b2, b3, b4 := m.words()
 	var out Packed
-	for i := range p {
-		out[i] = p[i] & m[i]
-	}
+	binary.LittleEndian.PutUint64(out[0:8], a0&b0)
+	binary.LittleEndian.PutUint64(out[8:16], a1&b1)
+	binary.LittleEndian.PutUint64(out[16:24], a2&b2)
+	binary.LittleEndian.PutUint64(out[24:32], a3&b3)
+	binary.LittleEndian.PutUint32(out[32:36], uint32(a4&b4))
 	return out
 }
 
-// MaskedEqual reports whether p&mask == want byte-wise, without
-// materializing the masked copy. It is the SMC's verification primitive:
-// flows cache their packed mask and masked key at insertion, so checking
-// whether a flow covers a packet key is one pass over 36 bytes.
+// MaskedEqual reports whether p&mask == want, without materializing the
+// masked copy. It is the SMC's verification primitive: flows cache their
+// packed mask and masked key at insertion, so checking whether a flow covers
+// a packet key is five mask-and-compare word operations.
 func (p *Packed) MaskedEqual(mask, want *Packed) bool {
-	for i := range p {
-		if p[i]&mask[i] != want[i] {
-			return false
-		}
-	}
-	return true
+	a0, a1, a2, a3, a4 := p.words()
+	m0, m1, m2, m3, m4 := mask.words()
+	w0, w1, w2, w3, w4 := want.words()
+	return (a0&m0^w0)|(a1&m1^w1)|(a2&m2^w2)|(a3&m3^w3)|(a4&m4^w4) == 0
 }
 
 // mix is the 64×64→128-bit multiply folded back to 64 bits (hi ^ lo): the

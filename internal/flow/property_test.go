@@ -140,12 +140,17 @@ func TestQuickBuildersMonotone(t *testing.T) {
 // never serve a dead flow. This is the oracle for the whole hierarchy: any
 // invalidation bug (a stale cache serving a removed or shadowed flow) or
 // ranking bug (rerank breaking the early exit) shows up as a disagreement.
+// The caches admit under the datapath's rule at a random inverse
+// probability — always displace, every other resolution, the default 100 —
+// so full sets both evict and refuse, and the answer must also be the one a
+// classifier-only lookup of the same key gives.
 func TestQuickTieredLookupOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tb := NewTable()
 		emc := NewEMC(64) // tiny, to force evictions
 		smc := NewSMC(64)
+		adm := NewAdmission(uint32(seed), []int{1, 2, 100}[rng.Intn(3)])
 		for trial := 0; trial < 250; trial++ {
 			switch rng.Intn(10) {
 			case 0, 1, 2:
@@ -177,16 +182,20 @@ func TestQuickTieredLookupOracle(t *testing.T) {
 			// Tiered lookup, exactly as the PMD walks it.
 			got := emc.Probe(&kp, h, g)
 			if got == nil {
-				got = smc.Lookup(&kp, uint32(h), g)
+				got, _ = smc.Probe(&kp, h, g)
 			}
 			if got == nil {
 				got = tb.LookupPacked(&kp)
 				if got != nil {
-					if v, ev := emc.Put(&kp, h, got, g); ev {
-						smc.Insert(&v.Key, uint32(v.Hash), v.Flow, g)
+					adm.Next()
+					if v, ev := emc.Put(&kp, h, got, g, &adm); ev {
+						smc.Put(v.Hash, v.Flow, g, &adm)
 					}
-					smc.Insert(&kp, uint32(h), got, g)
+					smc.Put(h, got, g, &adm)
 				}
+			}
+			if cls := tb.LookupPacked(&kp); (cls == nil) != (got == nil) || cls != nil && cls.Priority != got.Priority {
+				return false // the tiers and the classifier alone disagree
 			}
 
 			// Reference: linear scan over the live flow list.
@@ -235,7 +244,7 @@ func TestQuickEMCCoherence(t *testing.T) {
 				return false // stale or wrong entry served
 			}
 			if cached == nil && truth != nil {
-				emc.Put(&kp, h, truth, v)
+				emc.Put(&kp, h, truth, v, always)
 				// Immediately re-reading must hit unless the version moved.
 				if tb.Version() == v && emc.Probe(&kp, h, v) != truth {
 					return false

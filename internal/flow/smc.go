@@ -36,7 +36,9 @@ type SMC struct {
 
 	// Counters are atomics so control-plane code can snapshot them while
 	// the owning PMD keeps forwarding (windowed DatapathStats deltas); the
-	// PMD thread is still the only writer.
+	// PMD thread is still the only writer. Probe touches none of them: the
+	// caller counts a burst's outcomes in locals and lands them with one
+	// Count per burst, as for the EMC.
 	hits     atomic.Uint64
 	misses   atomic.Uint64
 	falsePos atomic.Uint64
@@ -46,7 +48,7 @@ type SMC struct {
 type smcEntry struct {
 	gen  uint64
 	flow *Flow
-	alt  uint32 // high half of the key hash (Packed.Hash2)
+	alt  uint32 // high half of the key hash
 	sig  uint16 // signature: bits 16-31 of the low half (never 0)
 }
 
@@ -75,26 +77,23 @@ func smcSig(hash uint32) uint16 {
 	return s
 }
 
-// Lookup returns the cached flow covering the packed key, or nil on miss.
-// gen must be the owning table's current add/modify generation.
-func (c *SMC) Lookup(kp *Packed, hash uint32, gen uint64) *Flow {
-	base := int(hash&c.mask) * smcWays
-	sig := smcSig(hash)
-	var alt uint32
-	altDone := false
+// Probe returns the cached flow covering the packed key, or nil on miss: the
+// cache's one lookup. hash must be kp's Hash64 — its low half picks the
+// bucket and signs the entry, its high half is the second check — and gen the
+// owning table's current add/modify generation. falsePos is the number of
+// ways whose 16-bit signature matched but whose high half or coverage check
+// did not: detected collisions, skipped. No counter is touched.
+func (c *SMC) Probe(kp *Packed, hash, gen uint64) (f *Flow, falsePos uint64) {
+	base := int(uint32(hash)&c.mask) * smcWays
+	sig := smcSig(uint32(hash))
+	alt := uint32(hash >> 32)
 	for w := 0; w < smcWays; w++ {
 		e := &c.entries[base+w]
 		if e.sig != sig || e.gen != gen || e.flow == nil {
 			continue
 		}
-		if !altDone {
-			alt = kp.Hash2() // computed lazily: most probes fail on sig/gen
-			altDone = true
-		}
 		if e.alt != alt {
-			// Signature collision caught by the hash's high half: a detected
-			// false positive of the 16-bit signature.
-			c.falsePos.Add(1)
+			falsePos++
 			continue
 		}
 		f := e.flow
@@ -103,27 +102,40 @@ func (c *SMC) Lookup(kp *Packed, hash uint32, gen uint64) *Flow {
 			continue
 		}
 		if !f.CoversPacked(kp) {
-			c.falsePos.Add(1)
+			falsePos++
 			continue
 		}
-		c.hits.Add(1)
-		return f
+		return f, falsePos
 	}
-	c.misses.Add(1)
-	return nil
+	return nil, falsePos
 }
 
-// Insert caches a classification result obtained at gen. A nil flow is
-// never cached. Victim preference: the way holding the same hash material
-// (re-validation updates in place), then an empty/stale/dead way, then
-// round-robin among live ways.
-func (c *SMC) Insert(kp *Packed, hash uint32, f *Flow, gen uint64) {
+// Count lands a burst's worth of Probe outcomes on the cache counters.
+func (c *SMC) Count(hits, misses, falsePos uint64) {
+	if hits > 0 {
+		c.hits.Add(hits)
+	}
+	if misses > 0 {
+		c.misses.Add(misses)
+	}
+	if falsePos > 0 {
+		c.falsePos.Add(falsePos)
+	}
+}
+
+// Put caches a classification result obtained at gen under the key's Hash64.
+// A nil flow is never cached. Victim preference: the way holding the same
+// hash material (re-validation updates in place), then an empty/stale/dead
+// way; with every way live the insertion happens only if a allows a
+// displacement (the rule the EMC admits under — see Admission), round-robin
+// among the ways.
+func (c *SMC) Put(hash uint64, f *Flow, gen uint64, a *Admission) {
 	if f == nil {
 		return
 	}
-	base := int(hash&c.mask) * smcWays
-	sig := smcSig(hash)
-	alt := kp.Hash2()
+	base := int(uint32(hash)&c.mask) * smcWays
+	sig := smcSig(uint32(hash))
+	alt := uint32(hash >> 32)
 	vic := -1
 	for w := 0; w < smcWays; w++ {
 		e := &c.entries[base+w]
@@ -136,10 +148,26 @@ func (c *SMC) Insert(kp *Packed, hash uint32, f *Flow, gen uint64) {
 		}
 	}
 	if vic < 0 {
+		if !a.displace() {
+			return
+		}
 		vic = int(c.victim % smcWays)
 		c.victim++
 	}
 	c.entries[base+vic] = smcEntry{gen: gen, flow: f, alt: alt, sig: sig}
+}
+
+// Lookup is Probe for bench/layers.go until the next `benchmark` PR
+// re-points flow.smc_hit_ns: hash recomputed here, collisions not reported.
+func (c *SMC) Lookup(kp *Packed, _ uint32, gen uint64) *Flow {
+	f, _ := c.Probe(kp, kp.Hash64(), gen)
+	return f
+}
+
+// Insert is an always-displacing Put for bench/layers.go until the next
+// `benchmark` PR re-points flow.smc_hit_ns: hash recomputed here.
+func (c *SMC) Insert(kp *Packed, _ uint32, f *Flow, gen uint64) {
+	c.Put(kp.Hash64(), f, gen, new(Admission))
 }
 
 // SMCStats are cumulative cache counters. FalsePositives count signature

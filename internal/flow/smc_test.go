@@ -7,6 +7,21 @@ import (
 	"ovshighway/internal/pkt"
 )
 
+// always is the zero Admission: every insertion may displace a live way.
+var always = new(Admission)
+
+// probeSMC is the PMD's use of the tier folded into one call: Probe, then
+// the outcome landed with Count.
+func probeSMC(c *SMC, kp *Packed, hash, gen uint64) *Flow {
+	f, fp := c.Probe(kp, hash, gen)
+	if f != nil {
+		c.Count(1, 0, fp)
+	} else {
+		c.Count(0, 1, fp)
+	}
+	return f
+}
+
 func TestSMCHitMissAndGeneration(t *testing.T) {
 	tb := NewTable()
 	fl := tb.Add(10, MatchInPort(1), Actions{Output(2)}, 0)
@@ -14,14 +29,14 @@ func TestSMCHitMissAndGeneration(t *testing.T) {
 
 	k := key(1, 11, 22, pkt.ProtoUDP, 1, 2)
 	kp := k.Pack()
-	h := kp.Hash()
+	h := kp.Hash64()
 	g := tb.Generation()
 
-	if got := c.Lookup(&kp, h, g); got != nil {
+	if got := probeSMC(c, &kp, h, g); got != nil {
 		t.Fatal("cold cache hit")
 	}
-	c.Insert(&kp, h, fl, g)
-	if got := c.Lookup(&kp, h, g); got != fl {
+	c.Put(h, fl, g, always)
+	if got := probeSMC(c, &kp, h, g); got != fl {
 		t.Fatal("warm cache miss")
 	}
 	st := c.Stats()
@@ -32,12 +47,12 @@ func TestSMCHitMissAndGeneration(t *testing.T) {
 	// An insertion (which could shadow the cached result) moves the
 	// generation and invalidates.
 	tb.Add(20, MatchInPort(2), Actions{Output(1)}, 0)
-	if got := c.Lookup(&kp, h, tb.Generation()); got != nil {
+	if got := probeSMC(c, &kp, h, tb.Generation()); got != nil {
 		t.Fatal("stale entry served after add-generation bump")
 	}
 	// Re-validation at the new generation hits again.
-	c.Insert(&kp, h, fl, tb.Generation())
-	if got := c.Lookup(&kp, h, tb.Generation()); got != fl {
+	c.Put(h, fl, tb.Generation(), always)
+	if got := probeSMC(c, &kp, h, tb.Generation()); got != fl {
 		t.Fatal("re-validated entry missed")
 	}
 }
@@ -52,8 +67,8 @@ func TestSMCNeverServesDeadFlow(t *testing.T) {
 	k2 := key(2, 11, 22, pkt.ProtoUDP, 3, 4)
 	kp1, kp2 := k1.Pack(), k2.Pack()
 	g := tb.Generation()
-	c.Insert(&kp1, kp1.Hash(), fl, g)
-	c.Insert(&kp2, kp2.Hash(), other, g)
+	c.Put(kp1.Hash64(), fl, g, always)
+	c.Put(kp2.Hash64(), other, g, always)
 
 	// Deleting fl does NOT move the add/modify generation…
 	if !tb.DeleteStrict(10, MatchInPort(1)) {
@@ -63,12 +78,12 @@ func TestSMCNeverServesDeadFlow(t *testing.T) {
 		t.Fatal("delete moved the add/modify generation")
 	}
 	// …yet its cached entry must never be served again (death mark)…
-	if got := c.Lookup(&kp1, kp1.Hash(), tb.Generation()); got != nil {
+	if got := probeSMC(c, &kp1, kp1.Hash64(), tb.Generation()); got != nil {
 		t.Fatalf("SMC served removed flow %v", got)
 	}
 	// …while the unrelated entry keeps hitting: the delete invalidated
 	// exactly one entry, not the cache.
-	if got := c.Lookup(&kp2, kp2.Hash(), tb.Generation()); got != other {
+	if got := probeSMC(c, &kp2, kp2.Hash64(), tb.Generation()); got != other {
 		t.Fatal("unrelated entry lost to an unrelated delete")
 	}
 }
@@ -86,20 +101,30 @@ func TestSMCSignatureCollisionRejected(t *testing.T) {
 
 	k1 := key(1, 11, 22, pkt.ProtoUDP, 1, 2)
 	kp1 := k1.Pack()
-	c.Insert(&kp1, kp1.Hash(), fl, g)
+	c.Put(kp1.Hash64(), fl, g, always)
 
 	// Probe with a DIFFERENT key forging k1's primary hash (adversarial
-	// signature collision): in_port=9 is not even covered by the flow.
+	// signature collision): the bucket and the 16-bit signature are k1's, the
+	// high half is k2's own, so the second check rejects it.
 	k2 := key(9, 11, 22, pkt.ProtoUDP, 1, 2)
 	kp2 := k2.Pack()
-	if got := c.Lookup(&kp2, kp1.Hash(), g); got != nil {
+	forged := uint64(kp1.Hash()) | kp2.Hash64()&^0xffffffff
+	if got := probeSMC(c, &kp2, forged, g); got != nil {
 		t.Fatalf("SMC served a colliding foreign key: %v", got)
 	}
-	if st := c.Stats(); st.FalsePositives == 0 {
-		t.Fatalf("detected collision not counted: %+v", st)
+	if st := c.Stats(); st.FalsePositives != 1 {
+		t.Fatalf("detected signature collision not counted once: %+v", st)
+	}
+	// All 64 bits forged: only the coverage check stands between k2 and a
+	// rule that matches in_port=1, and in_port=9 is not covered.
+	if got := probeSMC(c, &kp2, kp1.Hash64(), g); got != nil {
+		t.Fatalf("SMC served a foreign key under a fully colliding hash: %v", got)
+	}
+	if st := c.Stats(); st.FalsePositives != 2 {
+		t.Fatalf("detected coverage failure not counted once: %+v", st)
 	}
 	// The true key still hits.
-	if got := c.Lookup(&kp1, kp1.Hash(), g); got != fl {
+	if got := probeSMC(c, &kp1, kp1.Hash64(), g); got != fl {
 		t.Fatal("true key rejected")
 	}
 }
@@ -119,8 +144,8 @@ func TestEMCDeathMarkInvalidatesOnlyRemovedFlow(t *testing.T) {
 	kb := key(2, 11, 22, pkt.ProtoUDP, 3, 4)
 	kpa, kpb := ka.Pack(), kb.Pack()
 	g := tb.Generation()
-	c.Insert(kpa, kpa.Hash(), fa, g)
-	c.Insert(kpb, kpb.Hash(), fb, g)
+	c.Put(&kpa, kpa.Hash64(), fa, g, always)
+	c.Put(&kpb, kpb.Hash64(), fb, g, always)
 
 	// Delete an UNRELATED flow: generation must not move, both entries must
 	// keep hitting — this is what the old global-version scheme got wrong.
@@ -130,8 +155,8 @@ func TestEMCDeathMarkInvalidatesOnlyRemovedFlow(t *testing.T) {
 	if tb.Generation() != g {
 		t.Fatal("delete moved the add/modify generation")
 	}
-	if c.Lookup(kpa, kpa.Hash(), tb.Generation()) != fa ||
-		c.Lookup(kpb, kpb.Hash(), tb.Generation()) != fb {
+	if c.Probe(&kpa, kpa.Hash64(), tb.Generation()) != fa ||
+		c.Probe(&kpb, kpb.Hash64(), tb.Generation()) != fb {
 		t.Fatal("unrelated delete invalidated live EMC entries")
 	}
 
@@ -139,10 +164,10 @@ func TestEMCDeathMarkInvalidatesOnlyRemovedFlow(t *testing.T) {
 	if !tb.DeleteStrict(10, MatchInPort(1)) {
 		t.Fatal("delete failed")
 	}
-	if got := c.Lookup(kpa, kpa.Hash(), tb.Generation()); got != nil {
+	if got := c.Probe(&kpa, kpa.Hash64(), tb.Generation()); got != nil {
 		t.Fatalf("EMC served removed flow %v", got)
 	}
-	if c.Lookup(kpb, kpb.Hash(), tb.Generation()) != fb {
+	if c.Probe(&kpb, kpb.Hash64(), tb.Generation()) != fb {
 		t.Fatal("sibling entry lost")
 	}
 
@@ -151,8 +176,8 @@ func TestEMCDeathMarkInvalidatesOnlyRemovedFlow(t *testing.T) {
 	kc := key(3, 11, 22, pkt.ProtoUDP, 5, 6)
 	kpc := kc.Pack()
 	g2 := tb.Generation()
-	c.Insert(kpc, kpc.Hash(), exp, g2)
-	if c.Lookup(kpc, kpc.Hash(), g2) != exp {
+	c.Put(&kpc, kpc.Hash64(), exp, g2, always)
+	if c.Probe(&kpc, kpc.Hash64(), g2) != exp {
 		t.Fatal("entry not cached")
 	}
 	if n := len(tb.Expire(time.Now().Add(2 * time.Second))); n != 1 {
@@ -161,7 +186,7 @@ func TestEMCDeathMarkInvalidatesOnlyRemovedFlow(t *testing.T) {
 	if tb.Generation() != g2 {
 		t.Fatal("expiry moved the add/modify generation")
 	}
-	if got := c.Lookup(kpc, kpc.Hash(), tb.Generation()); got != nil {
+	if got := c.Probe(&kpc, kpc.Hash64(), tb.Generation()); got != nil {
 		t.Fatalf("EMC served expired flow %v", got)
 	}
 }
@@ -176,7 +201,7 @@ func TestReplacementDeathMarksOldFlow(t *testing.T) {
 	c := NewEMC(64)
 	k := key(1, 11, 22, pkt.ProtoUDP, 1, 2)
 	kp := k.Pack()
-	c.Insert(kp, kp.Hash(), old, g)
+	c.Put(&kp, kp.Hash64(), old, g, always)
 
 	repl := tb.Add(10, MatchInPort(1), Actions{Output(3)}, 0)
 	if tb.Generation() == g {
@@ -188,7 +213,7 @@ func TestReplacementDeathMarksOldFlow(t *testing.T) {
 	if repl.Dead() {
 		t.Fatal("replacement flow born dead")
 	}
-	if got := c.Lookup(kp, kp.Hash(), tb.Generation()); got != nil {
+	if got := c.Probe(&kp, kp.Hash64(), tb.Generation()); got != nil {
 		t.Fatalf("EMC served replaced flow %v", got)
 	}
 }
@@ -297,13 +322,13 @@ func TestEMCEvictionDemotesVictimToSMC(t *testing.T) {
 		t.Fatal("could not find three keys sharing an EMC set")
 	}
 
-	if _, ev := emc.Put(&keys[0], hashes[0], fl, gen); ev {
+	if _, ev := emc.Put(&keys[0], hashes[0], fl, gen, always); ev {
 		t.Fatal("insertion into an empty set reported an eviction")
 	}
-	if _, ev := emc.Put(&keys[1], hashes[1], fl, gen); ev {
+	if _, ev := emc.Put(&keys[1], hashes[1], fl, gen, always); ev {
 		t.Fatal("insertion into a half-empty set reported an eviction")
 	}
-	v, ev := emc.Put(&keys[2], hashes[2], fl, gen)
+	v, ev := emc.Put(&keys[2], hashes[2], fl, gen, always)
 	if !ev || v.Flow != fl || v.Key != keys[0] || v.Hash != hashes[0] {
 		t.Fatalf("third insertion: evicted=%v victim=%v key match=%v hash match=%v, want eviction of the oldest entry with the hash it was stored under",
 			ev, v.Flow, v.Key == keys[0], v.Hash == hashes[0])
@@ -311,13 +336,13 @@ func TestEMCEvictionDemotesVictimToSMC(t *testing.T) {
 
 	// The PMD wiring: the victim demotes into the SMC at the same gen, under
 	// the hash its EMC entry held.
-	smc.Insert(&v.Key, uint32(v.Hash), v.Flow, gen)
+	smc.Put(v.Hash, v.Flow, gen, always)
 
 	// The evicted key now misses the EMC but hits the SMC.
 	if emc.Probe(&keys[0], hashes[0], gen) != nil {
 		t.Fatal("evicted key still hits the EMC")
 	}
-	if got := smc.Lookup(&keys[0], uint32(hashes[0]), gen); got != fl {
+	if got := probeSMC(smc, &keys[0], hashes[0], gen); got != fl {
 		t.Fatalf("demoted victim not served by the SMC (got %v)", got)
 	}
 	if st := smc.Stats(); st.Hits != 1 {

@@ -132,16 +132,67 @@ func (f *Flow) String() string {
 	return fmt.Sprintf("priority=%d,%s actions=%s", f.Priority, f.Match, f.Actions)
 }
 
-// subtable groups flows sharing one mask: the unit of tuple space search.
+// subtable groups flows sharing one mask: the unit of tuple space search. It
+// is an immutable open-addressed hash table built when its snapshot is: slots
+// is a power of two long and at most half full, keyed by the five words of
+// the masked key and probed linearly, so a lookup is mask → hash → probe →
+// word compare on values that never leave registers (no masked 36-byte
+// temporary, no runtime map hash).
 type subtable struct {
-	mask    Packed
+	mask    [5]uint64
 	maxPrio uint16
-	// entries maps masked packed keys to flows sorted by descending priority.
-	entries map[Packed][]*Flow
+	slots   []stSlot
 	// hits counts lookups this subtable won. The counter outlives snapshot
 	// rebuilds (it is owned by the Table, keyed by mask) and feeds the
 	// periodic hit ranking. Atomic: several PMDs walk one snapshot.
 	hits *atomic.Uint64
+}
+
+// stSlot is one subtable slot: a masked key and the highest-priority flow
+// matching exactly it — the only one of its duplicates a lookup can return.
+// f == nil marks the slot empty.
+type stSlot struct {
+	w [5]uint64
+	f *Flow
+}
+
+// newSubtable builds the table of the flows sharing mask.
+func newSubtable(mask Packed, flows []*Flow, hits *atomic.Uint64) *subtable {
+	n := 2
+	for n < 2*len(flows) {
+		n <<= 1
+	}
+	st := &subtable{slots: make([]stSlot, n), hits: hits}
+	st.mask[0], st.mask[1], st.mask[2], st.mask[3], st.mask[4] = mask.words()
+	for _, f := range flows {
+		if f.Priority > st.maxPrio {
+			st.maxPrio = f.Priority
+		}
+		w0, w1, w2, w3, w4 := f.pkeyMasked.words()
+		e := st.slot(w0, w1, w2, w3, w4)
+		// Two flows of one masked key differ in priority (Add replaces an
+		// equal priority and match), so the comparison has no ties to break.
+		if e.f == nil || f.Priority > e.f.Priority {
+			*e = stSlot{w: [5]uint64{w0, w1, w2, w3, w4}, f: f}
+		}
+	}
+	return st
+}
+
+// slot returns the slot holding the masked key w0..w4, or the empty slot its
+// probe sequence ends at. The hash is the key's own (mix folds over the
+// process-secret lanes of hashSeed), so which rules share a probe run is not
+// something a rule's author can choose.
+func (st *subtable) slot(w0, w1, w2, w3, w4 uint64) *stSlot {
+	k := &hashSeed
+	h := mix(mix(w0^k[0], w1^k[1])^w4, mix(w2^k[2], w3^k[3])^k[6])
+	slots := st.slots
+	for i := h; ; i++ {
+		e := &slots[i&uint64(len(slots)-1)]
+		if e.f == nil || (e.w[0]^w0)|(e.w[1]^w1)|(e.w[2]^w2)|(e.w[3]^w3)|(e.w[4]^w4) == 0 {
+			return e
+		}
+	}
 }
 
 // classifier is an immutable lookup snapshot. Tables rebuild it on every
@@ -164,20 +215,20 @@ func (c *classifier) Lookup(k *Key) *Flow {
 
 // LookupPacked is Lookup on an already-packed key, saving the serialization
 // when the caller (the PMD fast path) has packed the key for EMC hashing.
+// The key's five words are loaded once and masked per subtable in registers.
 func (c *classifier) LookupPacked(kp *Packed) *Flow {
 	var best *Flow
 	var bestSt *subtable
+	k0, k1, k2, k3, k4 := kp.words()
 	for _, st := range c.subtables {
 		if best != nil && best.Priority >= st.maxPrio {
 			break
 		}
-		masked := kp.And(st.mask)
-		for _, f := range st.entries[masked] {
-			if best == nil || f.Priority > best.Priority {
-				best = f
-				bestSt = st
-			}
-			break // entries are sorted by descending priority
+		m := &st.mask
+		if f := st.slot(k0&m[0], k1&m[1], k2&m[2], k3&m[3], k4&m[4]).f; f != nil &&
+			(best == nil || f.Priority > best.Priority) {
+			best = f
+			bestSt = st
 		}
 	}
 	if best != nil {
@@ -521,23 +572,9 @@ func sortSubtables(sts []*subtable) {
 // rebuildLocked regenerates the classifier snapshot. Caller holds t.mu.
 func (t *Table) rebuildLocked() {
 	v := t.version.Add(1)
-	bymask := make(map[Packed]*subtable)
+	bymask := make(map[Packed][]*Flow)
 	for _, f := range t.flows {
-		mp := f.pmask
-		st, ok := bymask[mp]
-		if !ok {
-			hc := t.stHits[mp]
-			if hc == nil {
-				hc = new(atomic.Uint64)
-				t.stHits[mp] = hc
-			}
-			st = &subtable{mask: mp, entries: make(map[Packed][]*Flow), hits: hc}
-			bymask[mp] = st
-		}
-		if f.Priority > st.maxPrio {
-			st.maxPrio = f.Priority
-		}
-		st.entries[f.pkeyMasked] = append(st.entries[f.pkeyMasked], f)
+		bymask[f.pmask] = append(bymask[f.pmask], f)
 	}
 	// Hit counters of vanished masks die with their subtable: a returning
 	// mask starts cold rather than inheriting a stale rank.
@@ -547,11 +584,13 @@ func (t *Table) rebuildLocked() {
 		}
 	}
 	c := &classifier{version: v}
-	for _, st := range bymask {
-		for _, flows := range st.entries {
-			sort.SliceStable(flows, func(i, j int) bool { return flows[i].Priority > flows[j].Priority })
+	for mp, flows := range bymask {
+		hc := t.stHits[mp]
+		if hc == nil {
+			hc = new(atomic.Uint64)
+			t.stHits[mp] = hc
 		}
-		c.subtables = append(c.subtables, st)
+		c.subtables = append(c.subtables, newSubtable(mp, flows, hc))
 	}
 	sortSubtables(c.subtables)
 	t.snap.Store(c)

@@ -623,12 +623,20 @@ func (p *pump) pull() int {
 		got := p.dstBufs.GetBatch(p.homed[:n])
 		kept := 0
 		var unrouted uint64
+		// A burst rides few lanes: the previous frame's (vid → lane) answer
+		// is kept, so a run of one lane costs one map access.
+		var memoVid uint16
+		var memoLane *lane
+		memo := false
 		for i := 0; i < n; i++ {
 			srcBuf := p.drained[i]
 			vid, tagged := pkt.FrameVlanID(srcBuf.Bytes())
 			var ln *lane
 			if tagged {
-				ln = lanes[vid]
+				if !memo || vid != memoVid {
+					memoVid, memoLane, memo = vid, lanes[vid], true
+				}
+				ln = memoLane
 			}
 			if ln == nil {
 				unrouted++

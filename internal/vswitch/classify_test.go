@@ -22,8 +22,8 @@ func (e *testEnv) drain(id uint32) (n int) {
 	}
 }
 
-// TestPerBatchEMCCountersLoseNothing: the EMC probe touches no counter and
-// processBatch lands a burst's hits and misses with one add each, so every
+// TestPerBatchEMCCountersLoseNothing: the EMC and SMC probes touch no counter
+// and processBatch lands a burst's hits and misses with one add each, so every
 // parsed frame must still show up in exactly one of the two — over bursts
 // that mix keys already cached, keys never seen, repeats of a missed key
 // inside one burst, and frames the parser rejects.
@@ -69,6 +69,74 @@ func TestPerBatchEMCCountersLoseNothing(t *testing.T) {
 	if got := st.SMC.Hits + st.DedupHits + st.ClassifierHits + st.ClassifierMisses; got != st.EMC.Misses {
 		t.Fatalf("EMC misses %d, resolved further down %d (smc %d, dedup %d, classifier %d+%d)",
 			st.EMC.Misses, got, st.SMC.Hits, st.DedupHits, st.ClassifierHits, st.ClassifierMisses)
+	}
+	// The SMC's counters land once per burst too: it is probed exactly on
+	// the EMC's misses, and each of its own misses is answered by the
+	// within-burst dedup or by exactly one classifier walk.
+	if got := st.SMC.Hits + st.SMC.Misses; got != st.EMC.Misses {
+		t.Fatalf("SMC hits %d + misses %d = %d, want one per EMC miss = %d", st.SMC.Hits, st.SMC.Misses, got, st.EMC.Misses)
+	}
+	if got := st.DedupHits + st.ClassifierHits + st.ClassifierMisses; got != st.SMC.Misses {
+		t.Fatalf("SMC misses %d, resolved by dedup %d + classifier walks %d+%d = %d",
+			st.SMC.Misses, st.DedupHits, st.ClassifierHits, st.ClassifierMisses, got)
+	}
+}
+
+// TestBurstOfOneUnmatchedKeyWalksOnce: 32 identical frames no rule matches
+// are one classifier walk — a memoized table miss dedups like a hit — and 31
+// answers from the burst's own miss list.
+func TestBurstOfOneUnmatchedKeyWalksOnce(t *testing.T) {
+	env := newSyncEnv(t, Config{}, 2)
+	env.sw.Table().Add(10, flow.MatchInPort(2), flow.Actions{flow.Output(1)}, 0) // nothing matches port 1
+	for i := 0; i < 32; i++ {
+		env.sendUDP(t, 1, defaultSpec)
+	}
+	if n := env.sw.PollOnce(); n != 32 {
+		t.Fatalf("PollOnce handled %d frames, want 32", n)
+	}
+	st := env.sw.DatapathStats()
+	if m, d, tm := env.sw.Misses.Load(), env.sw.DedupHits.Load(), env.sw.TableMisses.Load(); m != 1 || d != 31 || tm != 1 {
+		t.Fatalf("Misses = %d, DedupHits = %d, TableMisses = %d; want 1, 31, 1", m, d, tm)
+	}
+	if st.EMC.Misses != 32 || st.SMC.Misses != 32 || st.EMC.Hits+st.SMC.Hits != 0 {
+		t.Fatalf("caches: EMC %+v, SMC %+v; want 32 misses each and no hit", st.EMC, st.SMC)
+	}
+	if env.drain(2) != 0 {
+		t.Fatal("an unmatched frame was forwarded")
+	}
+	if n := env.sw.PollOnce(); n != 0 { // an idle iteration flushes the thread's buffer cache
+		t.Fatalf("empty poll handled %d frames", n)
+	}
+	if env.pool.Avail() != env.pool.Cap() {
+		t.Fatalf("dropped frames leaked: %d of %d buffers free", env.pool.Avail(), env.pool.Cap())
+	}
+}
+
+// TestEarlierMissComparesTheKeyBehindTheHash: the dedup scan reads the
+// 64-bit hash first, but two different keys stored under one hash are still
+// two keys — only the same key under the same hash is an earlier miss.
+func TestEarlierMissComparesTheKeyBehindTheHash(t *testing.T) {
+	ka := flow.Key{InPort: 1, EthType: 0x0800, IPProto: 17, L4Src: 1000, L4Dst: 2000}
+	kb := ka
+	kb.L4Src = 1001
+	const forced = 0x1234_5678_9abc_def0
+	p := &pmdThread{metas: make([]pktMeta, 4)}
+	p.metas[0].kp, p.metas[0].hash = ka.Pack(), forced
+	p.missIdx, p.missHash = []int32{0}, []uint64{forced}
+
+	p.metas[1].kp, p.metas[1].hash = kb.Pack(), forced // another key, the same stored hash
+	if j := p.earlierMiss(&p.metas[1]); j != -1 {
+		t.Fatalf("a different key under a colliding hash was merged with miss %d", j)
+	}
+	p.missIdx, p.missHash = append(p.missIdx, 1), append(p.missHash, forced)
+
+	p.metas[2].kp, p.metas[2].hash = kb.Pack(), forced // that key again: the second miss, not the first
+	if j := p.earlierMiss(&p.metas[2]); j != 1 {
+		t.Fatalf("repeat of the second colliding key resolved to miss %d, want 1", j)
+	}
+	p.metas[3].kp, p.metas[3].hash = ka.Pack(), forced+1 // the first key under another hash: not a repeat
+	if j := p.earlierMiss(&p.metas[3]); j != -1 {
+		t.Fatalf("an equal key under a different hash was merged with miss %d: the hash is compared first", j)
 	}
 }
 

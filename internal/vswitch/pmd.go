@@ -99,16 +99,20 @@ type pmdThread struct {
 	emc    *flow.EMC
 	smc    *flow.SMC
 	parser pkt.Parser
-	// rng drives probabilistic EMC insertion (xorshift32; never zero).
-	rng uint32
+	// admit is the emc-insert-inv-prob rule both cache tiers admit a
+	// classifier-resolved key under.
+	admit flow.Admission
 
 	rxBatch []*mempool.Buf
 	metas   []pktMeta
 	groups  []flowGroup
 	// missIdx lists the meta indexes of this batch's cache misses, so a
 	// burst of identical missed keys walks the tuple space once (the rest
-	// resolve by comparing packed keys against earlier misses).
-	missIdx []int32
+	// resolve against earlier misses — see earlierMiss). missHash holds the
+	// same misses' Hash64s side by side: the scan reads one or two cache
+	// lines of words and touches a key only behind an equal hash.
+	missIdx  []int32
+	missHash []uint64
 
 	// txAcc accumulates output per destination port index within the current
 	// port snapshot (dense — no map operations on the hot path); txTouched
@@ -138,12 +142,13 @@ func newPMDThread(s *Switch, idx int) *pmdThread {
 		idx:       idx,
 		clockBase: base,
 		baseNano:  base.UnixNano(),
-		rng:       0x9e3779b9 + uint32(idx),
+		admit:     flow.NewAdmission(0x9e3779b9+uint32(idx), s.cfg.EMCInsertInvProb),
 		emc:       flow.NewEMC(s.cfg.EMCEntries),
 		rxBatch:   make([]*mempool.Buf, s.cfg.BatchSize),
 		metas:     make([]pktMeta, s.cfg.BatchSize),
 		groups:    make([]flowGroup, s.cfg.BatchSize),
 		missIdx:   make([]int32, 0, s.cfg.BatchSize),
+		missHash:  make([]uint64, 0, s.cfg.BatchSize),
 		txTouched: make([]int, 0, 8),
 		drops:     make([]*mempool.Buf, 0, s.cfg.BatchSize),
 	}
@@ -158,20 +163,19 @@ func newPMDThread(s *Switch, idx int) *pmdThread {
 
 func (p *pmdThread) emcStats() flow.EMCStats { return p.emc.Stats() }
 
-// emcInsertOK applies the emc-insert-inv-prob policy: with inverse
-// probability N, only one in N classifier resolutions claims an EMC slot
-// (xorshift32, allocation-free). N=1 short-circuits to always.
-func (p *pmdThread) emcInsertOK() bool {
-	inv := p.s.cfg.EMCInsertInvProb
-	if inv <= 1 {
-		return true
+// earlierMiss returns the meta index of an earlier miss of this burst with
+// m's key, or -1. The 64-bit hash is compared first; the full key is still
+// compared behind it, so a hash collision alone never merges two keys.
+func (p *pmdThread) earlierMiss(m *pktMeta) int32 {
+	for i, h := range p.missHash {
+		if h != m.hash {
+			continue
+		}
+		if j := p.missIdx[i]; p.metas[j].kp.Equal(&m.kp) {
+			return j
+		}
 	}
-	x := p.rng
-	x ^= x << 13
-	x ^= x >> 17
-	x ^= x << 5
-	p.rng = x
-	return x%uint32(inv) == 0
+	return -1
 }
 
 // owns reports whether this PMD polls any queue of the given port under the
@@ -275,8 +279,8 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 
 	// Phase 1: parse + classify into scratch.
 	n := int32(0)
-	p.missIdx = p.missIdx[:0]
-	var emcHits, emcMisses, misses, tableMisses, dedups, parseErrs uint64
+	p.missIdx, p.missHash = p.missIdx[:0], p.missHash[:0]
+	var emcHits, emcMisses, smcHits, smcMisses, smcFalsePos, misses, tableMisses, dedups, parseErrs uint64
 	for _, b := range bufs {
 		b.Port = inPort
 		frame := b.Bytes()
@@ -288,7 +292,6 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 		m := &p.metas[n]
 		m.buf = b
 		m.hash = flow.PackFrame(&p.parser, frame, inPort, &m.kp)
-		hash := uint32(m.hash)
 		m.decoded = p.parser.Decoded
 		m.eth = p.parser.Eth
 		m.ipv4 = p.parser.IPv4
@@ -307,48 +310,55 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 			// SMC hits do not promote into the EMC (as in OVS-DPDK): when
 			// the flow count has outgrown the EMC, promotion would just
 			// churn its sets without raising the hit rate.
-			if f = p.smc.Lookup(&m.kp, hash, gen); f != nil {
+			var fp uint64
+			if f, fp = p.smc.Probe(&m.kp, m.hash, gen); f != nil {
 				resolved = true
+				smcHits++
+			} else {
+				smcMisses++
 			}
+			smcFalsePos += fp
 		}
 		if !resolved {
 			// Within-batch dedup: a burst of identical missed keys walks
 			// the tuple space once. A memoized nil (table miss) counts too.
-			for _, j := range p.missIdx {
-				if p.metas[j].kp == m.kp {
-					f = p.metas[j].f
-					resolved = true
-					dedups++
-					break
-				}
+			if j := p.earlierMiss(m); j >= 0 {
+				f = p.metas[j].f
+				resolved = true
+				dedups++
 			}
 		}
 		if !resolved {
 			f = table.LookupPacked(&m.kp)
 			misses++
 			if f != nil {
-				if emcOn && p.emcInsertOK() {
-					// SMC-aware eviction: a LIVE entry this insertion
-					// displaces demotes into the second tier (OVS-style), so
-					// the flows the EMC can no longer hold keep resolving
-					// without another classifier walk.
-					if v, ev := p.emc.Put(&m.kp, m.hash, f, gen); ev && smcOn {
-						p.smc.Insert(&v.Key, uint32(v.Hash), v.Flow, gen)
+				// Both tiers take the key under one admission verdict. A LIVE
+				// entry the EMC displaces for it demotes into the second tier
+				// (OVS-style), so the flows the EMC can no longer hold keep
+				// resolving without another classifier walk.
+				p.admit.Next()
+				if emcOn {
+					if v, ev := p.emc.Put(&m.kp, m.hash, f, gen, &p.admit); ev && smcOn {
+						p.smc.Put(v.Hash, v.Flow, gen, &p.admit)
 					}
 				}
 				if smcOn {
-					p.smc.Insert(&m.kp, hash, f, gen)
+					p.smc.Put(m.hash, f, gen, &p.admit)
 				}
 			} else {
 				tableMisses++
 			}
 			p.missIdx = append(p.missIdx, n)
+			p.missHash = append(p.missHash, m.hash)
 		}
 		m.f = f
 		n++
 	}
 	if emcOn {
 		p.emc.Count(emcHits, emcMisses)
+	}
+	if smcOn {
+		p.smc.Count(smcHits, smcMisses, smcFalsePos)
 	}
 	if misses > 0 {
 		p.s.Misses.Add(misses)

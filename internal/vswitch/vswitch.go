@@ -77,12 +77,18 @@ type Config struct {
 	// A5).
 	SMCEntries  int
 	SMCDisabled bool
-	// EMCInsertInvProb is the inverse probability of inserting a
-	// classifier-resolved flow into the EMC (OVS's emc-insert-inv-prob):
-	// 1 = always (default), N = 1-in-N. With heavy-tailed traffic a sparse
-	// insertion policy keeps elephant flows from being churned out of the
-	// small first tier by one-packet mice — the mice rarely win a slot,
-	// the elephants reinsert within a few packets.
+	// EMCInsertInvProb is the inverse probability with which a
+	// classifier-resolved flow may DISPLACE a live cache entry (OVS's
+	// emc-insert-inv-prob, narrowed to exactly that): a vacant,
+	// stale-generation or death-marked way of the EMC or the SMC is always
+	// taken, so warm-up and the refill after delete churn are immediate, but
+	// evicting a live way — the EMC's shift-and-evict with its SMC demotion,
+	// the SMC's round-robin victim — happens for one resolution in N.
+	// Default 100, as OVS ships it: a working set the caches cannot hold
+	// then keeps a stable capacity/working-set share resident instead of
+	// evicting every entry just before its key comes round again, and
+	// one-packet mice rarely churn an elephant out. 1 = always displace
+	// (replace on every miss; the flowscale sweep's contrast arm).
 	EMCInsertInvProb int
 	// PacketInQueue bounds the controller punt queue. Default 256.
 	PacketInQueue int
@@ -113,7 +119,7 @@ func (c *Config) fill() {
 		c.PacketInQueue = 256
 	}
 	if c.EMCInsertInvProb == 0 {
-		c.EMCInsertInvProb = 1
+		c.EMCInsertInvProb = 100
 	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = 500 * time.Millisecond
