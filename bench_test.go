@@ -27,6 +27,7 @@ import (
 	"ovshighway/internal/nic"
 	"ovshighway/internal/openflow"
 	"ovshighway/internal/pkt"
+	"ovshighway/internal/vnf"
 	"ovshighway/internal/vswitch"
 )
 
@@ -868,6 +869,83 @@ func BenchmarkProcessBatchMiss(b *testing.B) {
 		b.ReportMetric(100*float64(d.EMC.Hits)/total, "emc-%")
 		b.ReportMetric(100*float64(d.SMC.Hits)/total, "smc-%")
 		b.ReportMetric(100*float64(walks)/total, "cls-%")
+	}
+}
+
+// BenchmarkStatefulHop is BenchmarkProcessBatch for the stateful VNFs: each
+// handler — NAT44 outbound, the ACL's established bypass, the balancer's
+// toBackend — driven synchronously (App.PollOnce on a never-started app) over
+// one 32-frame burst of 32 established connections: in on port 0, the header
+// walk, the conntrack probe, the rewrite, out on port 1. The frames are
+// written afresh before each burst because NAT44 and the balancer rewrite
+// them in place (the ACL pays the same copy, so the three lines compare).
+// ns/op over 32 is what one stateful hop costs a packet without the goroutine
+// hand-offs; 0 allocs/op, CI-gated.
+func BenchmarkStatefulHop(b *testing.B) {
+	vip := pkt.IP4{10, 99, 0, 1}
+	newCT := func(b *testing.B) *conntrack.Table {
+		ct, err := conntrack.New(conntrack.Config{Capacity: 4096})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ct
+	}
+	for _, c := range []struct {
+		name  string
+		build func(b *testing.B, in, out *dpdkr.PMD, pool *mempool.Pool) (*vnf.App, error)
+	}{
+		{"nat44", func(b *testing.B, in, out *dpdkr.PMD, pool *mempool.Pool) (*vnf.App, error) {
+			app, _, err := vnf.NewNAT44("nat", in, out, pool, vnf.NAT44Config{ExtIP: pkt.IP4{192, 0, 2, 1}, PortBase: 40000, PortCount: 64, Table: newCT(b)})
+			return app, err
+		}},
+		{"acl", func(b *testing.B, in, out *dpdkr.PMD, pool *mempool.Pool) (*vnf.App, error) {
+			app, _, err := vnf.NewACL("acl", in, out, pool, newCT(b), []vnf.ACLRule{{
+				Priority: 100, Match: flow.MatchAll().WithIPProto(pkt.ProtoUDP).WithIPDst(vip, 32).WithL4Dst(80), Allow: true,
+			}}, false)
+			return app, err
+		}},
+		{"balancer", func(b *testing.B, in, out *dpdkr.PMD, pool *mempool.Pool) (*vnf.App, error) {
+			app, _, err := vnf.NewBalancer("lb", in, out, pool, vnf.BalancerConfig{VIP: vip, VIPPort: 80, Table: newCT(b),
+				Backends: []vnf.Backend{{IP: pkt.IP4{10, 1, 0, 1}, Port: 8080}, {IP: pkt.IP4{10, 1, 0, 2}, Port: 8080}}})
+			return app, err
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			pool := mempool.MustNew(mempool.Config{Capacity: 1024})
+			hostIn, pmdIn, _ := dpdkr.NewPort(1, "in", 1024)
+			hostOut, pmdOut, _ := dpdkr.NewPort(2, "out", 1024)
+			app, err := c.build(b, pmdIn, pmdOut, pool)
+			if err != nil {
+				b.Fatal(err)
+			}
+			spec := DefaultTrafficSpec()
+			spec.DstIP, spec.DstPort = vip, 80
+			bufs := make([]*mempool.Buf, 32)
+			frames := make([][]byte, len(bufs))
+			for i := range bufs {
+				spec.SrcPort = uint16(5000 + i)
+				frames[i] = make([]byte, pkt.MinFrame)
+				if _, err := pkt.BuildUDP(frames[i], spec); err != nil {
+					b.Fatal(err)
+				}
+				bufs[i], _ = pool.Get()
+			}
+			burst := func() {
+				for i, buf := range bufs {
+					buf.SetBytes(frames[i])
+				}
+				if hostIn.Send(bufs) != len(bufs) || app.PollOnce() != len(bufs) || hostOut.Recv(bufs) != len(bufs) {
+					b.Fatal("burst did not cross the app whole")
+				}
+			}
+			burst() // the first packets establish the 32 connections
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				burst()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(bufs)), "ns/pkt")
+		})
 	}
 }
 

@@ -405,8 +405,8 @@ func conntrackScale(cfg highway.ExperimentConfig) error {
 	fmt.Println("=== Conntrack scale: concurrent connections 64k → 4M ===")
 	fmt.Println("    (table pre-seeded, then live traffic through an ACL VNF: 15/16 of")
 	fmt.Println("     frames ride the established bypass, 1/16 are first packets taking")
-	fmt.Println("     the classifier walk; each point audits per-shard vs global stats")
-	fmt.Println("     and requires every seeded connection to still be live)")
+	fmt.Println("     the classifier walk; each point requires every seeded connection")
+	fmt.Println("     to still be live)")
 	fmt.Printf("%10s %12s %10s %8s %8s %8s %8s %8s %10s\n",
 		"conns", "seed Mc/s", "Mpps", "ct-hit%", "ct-miss%", "emc%", "smc%", "cls%", "live")
 	rows, err := highway.RunConntrack(cfg)
@@ -418,7 +418,7 @@ func conntrackScale(cfg highway.ExperimentConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("PASS: all seeded connections live at every point, shard sums consistent")
+	fmt.Println("PASS: all seeded connections live at every point")
 	fmt.Println()
 	return nil
 }

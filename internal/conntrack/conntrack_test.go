@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"ovshighway/internal/flow/flowtest"
 	"ovshighway/internal/pkt"
@@ -19,6 +22,14 @@ func mkKey(i int) Key {
 		SrcPort: uint16(1000 + i%60000),
 		DstPort: 80,
 		Proto:   pkt.ProtoTCP,
+	}
+}
+
+// TestEntrySize holds the arena's stride: three entries to two cache lines,
+// 8 bytes under the layout with the key as a 14-byte struct.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n != 48 {
+		t.Fatalf("Entry is %d bytes, want 48", n)
 	}
 }
 
@@ -46,8 +57,14 @@ func TestConntrackBasic(t *testing.T) {
 	if got != e {
 		t.Fatalf("lookup returned %p want %p", got, e)
 	}
-	if got.LastSeen() != now+1 {
-		t.Fatalf("lastSeen not bumped: %d", got.LastSeen())
+	// The idle clock is lazy: a hit within IdleTimeout/8 of the stored value
+	// leaves it, the first one past that re-stores it.
+	if got.LastSeen() != now {
+		t.Fatalf("lastSeen re-stored by a hit 1ns later: %d", got.LastSeen())
+	}
+	stale := now + int64(ct.IdleTimeout()/8) + 1
+	if ct.Lookup(k, stale) != e || e.LastSeen() != stale {
+		t.Fatalf("lastSeen = %d after a hit past the refresh eighth, want %d", e.LastSeen(), stale)
 	}
 	if ct.Live() != 1 {
 		t.Fatalf("live = %d, want 1", ct.Live())
@@ -64,8 +81,110 @@ func TestConntrackBasic(t *testing.T) {
 	if ct.Live() != 0 {
 		t.Fatalf("live = %d after remove, want 0", ct.Live())
 	}
-	if err := ct.CheckShardSums(); err != nil {
+	want := Stats{Hits: 2, Misses: 2, Inserts: 1, Removes: 1, Reclaimed: 1}
+	if st := ct.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+}
+
+// TestConntrackCommit pins the per-burst accounting: Probe tallies in plain
+// owner-side words that no reader sees until the owner's Commit, through
+// Stats and ShardStats alike; Lookup, the one-shot form, counts at once.
+func TestConntrackCommit(t *testing.T) {
+	ct, err := New(Config{Shards: 4, Capacity: 1024, IdleTimeout: time.Second})
+	if err != nil {
 		t.Fatal(err)
+	}
+	const n = 64
+	for i := 0; i < n; i++ {
+		if ct.Insert(mkKey(i), 1) == nil {
+			t.Fatalf("insert %d failed", i)
+		}
+	}
+	for i := 0; i < 2*n; i++ { // n hits, n misses
+		k := mkKey(i)
+		if (ct.Probe(&k, 2) != nil) != (i < n) {
+			t.Fatalf("probe %d: wrong outcome", i)
+		}
+	}
+	if st := ct.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("probe tallies visible before Commit: %+v", st)
+	}
+	ct.Commit()
+	if st := ct.Stats(); st.Hits != n || st.Misses != n || st.Live != n {
+		t.Fatalf("after Commit: %+v, want %d hits, %d misses, %d live", st, n, n, n)
+	}
+	var sum Stats
+	for i, ss := range ct.ShardStats() {
+		if ss.Hits == 0 || ss.Inserts != ss.Live {
+			t.Fatalf("shard %d: %+v", i, ss)
+		}
+		sum.Add(ss)
+	}
+	if sum != ct.Stats() {
+		t.Fatalf("shards sum to %+v, table reports %+v", sum, ct.Stats())
+	}
+	ct.Commit() // nothing pending: a no-op
+	if ct.Lookup(mkKey(0), 3) == nil || ct.Lookup(mkKey(n), 3) != nil {
+		t.Fatal("lookup: wrong outcome")
+	}
+	if st := ct.Stats(); st.Hits != n+1 || st.Misses != n+1 {
+		t.Fatalf("one-shot lookups not counted at once: %+v", st)
+	}
+}
+
+// TestConntrackOwnerAgainstSweeperAndReaders runs the three parties of the
+// concurrency contract at once — the owner probing in bursts and committing,
+// the sweeper expiring, a reader taking Stats/ShardStats/Live — for the race
+// detector to watch, and then holds the published counters to the owner's own
+// tallies: nothing the owner counted in plain words is lost or doubled.
+func TestConntrackOwnerAgainstSweeperAndReaders(t *testing.T) {
+	ct, err := New(Config{Shards: 2, Capacity: 512, IdleTimeout: 200 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ct.Expire(time.Now())
+			if st := ct.Stats(); int(st.Live) > ct.Capacity() || len(ct.ShardStats()) != 2 || ct.Live() > ct.Capacity() {
+				t.Errorf("reader saw %+v", st)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	var hits, misses uint64
+	for i, deadline := 0, time.Now().Add(40*time.Millisecond); time.Now().Before(deadline); i++ {
+		now := time.Now().UnixNano()
+		for j := 0; j < 32; j++ {
+			k := mkKey((i*32 + j) % 256)
+			if ct.Probe(&k, now) != nil {
+				hits++
+			} else {
+				misses++
+				ct.Insert(k, now)
+			}
+		}
+		ct.Commit()
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	st := ct.Stats()
+	if st.Hits != hits || st.Misses != misses {
+		t.Fatalf("published %d hits %d misses, the owner counted %d and %d", st.Hits, st.Misses, hits, misses)
+	}
+	if st.Live != st.Inserts-st.Removes-st.Expired {
+		t.Fatalf("live gauge %d != %d inserts - %d removes - %d expired", st.Live, st.Inserts, st.Removes, st.Expired)
 	}
 }
 
@@ -102,9 +221,6 @@ func TestConntrackCapacity(t *testing.T) {
 	}
 	if readmitted != removed {
 		t.Fatalf("readmitted %d after removing %d", readmitted, removed)
-	}
-	if err := ct.CheckShardSums(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -145,12 +261,60 @@ func TestConntrackExpire(t *testing.T) {
 			t.Fatalf("expired entry %d served", i)
 		}
 	}
-	if err := ct.CheckShardSums(); err != nil {
-		t.Fatal(err)
-	}
 	st := ct.Stats()
 	if st.Expired != 50 {
 		t.Fatalf("stats.Expired = %d, want 50", st.Expired)
+	}
+}
+
+// TestConntrackLazyIdleClock pins the bound the lazy clock is allowed. A hit
+// within IdleTimeout/8 of the stored clock does not re-store it, yet still
+// protects the entry for a full IdleTimeout, because Expire's horizon is the
+// same eighth wider; IdleTimeout·9/8 after its last hit an entry always goes.
+// Peek refreshes nothing.
+func TestConntrackLazyIdleClock(t *testing.T) {
+	const (
+		idle = 80 * time.Millisecond
+		eps  = time.Microsecond
+	)
+	ct, err := New(Config{Capacity: 16, IdleTimeout: idle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Unix(1000, 0)
+	at := func(d time.Duration) time.Time { return base.Add(d) }
+	lazy, stored, peeked := mkKey(1), mkKey(2), mkKey(3)
+	for _, k := range []Key{lazy, stored, peeked} {
+		if ct.Insert(k, base.UnixNano()) == nil {
+			t.Fatal("insert failed")
+		}
+	}
+	// Both hit at (about) idle/8: one exactly on the eighth, which leaves the
+	// clock at 0, one a nanosecond past it, which re-stores it.
+	tHit := idle / 8
+	if e := ct.Lookup(lazy, at(tHit).UnixNano()); e == nil || e.LastSeen() != base.UnixNano() {
+		t.Fatalf("hit on the refresh eighth re-stored the clock (or missed): %v", e)
+	}
+	if e := ct.Lookup(stored, at(tHit+1).UnixNano()); e == nil || e.LastSeen() != at(tHit+1).UnixNano() {
+		t.Fatalf("hit past the refresh eighth did not re-store the clock: %v", e)
+	}
+	for d := time.Duration(0); d < idle; d += idle / 16 {
+		if ct.Peek(peeked) == nil {
+			t.Fatal("peek missed a live entry")
+		}
+	}
+	// Inside IdleTimeout of the hits nothing goes, not even the entry whose
+	// clock the hit left at 0.
+	if n := ct.Expire(at(tHit + idle - eps)); n != 0 {
+		t.Fatalf("sweep at hit+IdleTimeout-ε expired %d entries", n)
+	}
+	// 9/8·IdleTimeout after 0: the peeked entry (never hit, Peek refreshed
+	// nothing) and the lazily clocked one (last hit IdleTimeout+ε ago) go.
+	if n := ct.Expire(at(idle + idle/8 + eps)); n != 2 || ct.Peek(peeked) != nil || ct.Peek(lazy) != nil || ct.Peek(stored) == nil {
+		t.Fatalf("sweep at 9/8·IdleTimeout+ε expired %d, want the peeked and the lazily clocked entry", n)
+	}
+	if n := ct.Expire(at(tHit + idle + idle/8 + eps)); n != 1 || ct.Peek(stored) != nil {
+		t.Fatalf("sweep at hit+9/8·IdleTimeout+ε expired %d, want the last entry", n)
 	}
 }
 
@@ -187,22 +351,22 @@ func TestConntrackChurn(t *testing.T) {
 			t.Fatalf("live entry %v unreachable after churn", k)
 		}
 	}
-	if err := ct.CheckShardSums(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // refConn is the linear-reference model of one tracked connection.
 type refConn struct {
-	lastSeen int64
-	dead     bool // death-marked (removed or expired) but possibly still in carcass
+	lastSeen int64 // the lazy idle clock: re-stored once staler than idle/8
+	lastHit  int64 // the true time of the most recent hit
+	dead     bool  // death-marked (removed or expired) but possibly still in carcass
 }
 
 // TestQuickConntrackOracle drives random connection open/traffic/close/
 // expire churn against a map-based linear reference (mirroring
 // TestQuickTieredLookupOracle): a death-marked entry is never served, the
-// live gauge tracks the reference exactly, and the per-shard counters always
-// sum to the global set.
+// live gauge tracks the reference exactly, no connection hit within
+// IdleTimeout of a sweep is expired by it, and the hit/miss/insert/remove/
+// expire counters — traffic probed in bursts with one Commit each — equal the
+// reference's tallies.
 func TestQuickConntrackOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -215,6 +379,7 @@ func TestQuickConntrackOracle(t *testing.T) {
 			return false
 		}
 		ref := map[Key]*refConn{}
+		var want Stats
 		now := int64(1_000_000_000) // synthetic clock, ns
 		keyOf := func() Key { return mkKey(rng.Intn(4 * cap)) }
 		liveRef := func() int {
@@ -239,47 +404,64 @@ func TestQuickConntrackOracle(t *testing.T) {
 					return false
 				}
 				if e != nil {
-					ref[k] = &refConn{lastSeen: now}
-				} else if !wasLive {
-					// Table full — reference drops it too (insert failed).
-					if ct.Live() >= ct.Capacity() {
-						// expected: arena exhausted
+					ref[k] = &refConn{lastSeen: now, lastHit: now}
+					want.Inserts++
+				}
+			case 3, 4, 5, 6: // traffic: a burst of probes, one commit
+				for n := 1 + rng.Intn(4); n > 0; n-- {
+					k := keyOf()
+					e := ct.Probe(&k, now)
+					c := ref[k]
+					wantHit := c != nil && !c.dead
+					if wantHit != (e != nil) {
+						t.Logf("seed %d step %d: probe(%v) = %v, reference live=%v",
+							seed, step, k, e != nil, wantHit)
+						return false
+					}
+					if e == nil {
+						want.Misses++
+						continue
+					}
+					want.Hits++
+					c.lastHit = now
+					if now-c.lastSeen > int64(idle/8) {
+						c.lastSeen = now
+					}
+					if e.LastSeen() != c.lastSeen {
+						t.Logf("seed %d step %d: idle clock %d, reference %d", seed, step, e.LastSeen(), c.lastSeen)
+						return false
 					}
 				}
-			case 3, 4, 5, 6: // traffic
-				k := keyOf()
-				e := ct.Lookup(k, now)
-				c := ref[k]
-				wantHit := c != nil && !c.dead
-				if wantHit != (e != nil) {
-					t.Logf("seed %d step %d: lookup(%v) = %v, reference live=%v",
-						seed, step, k, e != nil, wantHit)
-					return false
-				}
-				if e != nil {
-					c.lastSeen = now
-				}
+				ct.Commit()
 			case 7: // close
 				k := keyOf()
 				got := ct.Remove(k)
 				c := ref[k]
-				want := c != nil && !c.dead
-				if got != want {
-					t.Logf("seed %d step %d: remove(%v) = %v, want %v", seed, step, k, got, want)
+				wantLive := c != nil && !c.dead
+				if got != wantLive {
+					t.Logf("seed %d step %d: remove(%v) = %v, want %v", seed, step, k, got, wantLive)
 					return false
+				}
+				if got {
+					want.Removes++
 				}
 				if c != nil {
 					delete(ref, k)
 				}
 			case 8, 9: // expiry sweep
-				horizon := now - int64(idle)
+				horizon := now - int64(idle) - int64(idle/8)
 				wantExpired := 0
-				for _, c := range ref {
+				for k, c := range ref {
 					if !c.dead && c.lastSeen < horizon {
+						if now-c.lastHit <= int64(idle) {
+							t.Logf("seed %d step %d: %v hit %dns ago would expire inside IdleTimeout", seed, step, k, now-c.lastHit)
+							return false
+						}
 						c.dead = true
 						wantExpired++
 					}
 				}
+				want.Expired += uint64(wantExpired)
 				if n := ct.Expire(time.Unix(0, now)); n != wantExpired {
 					t.Logf("seed %d step %d: expired %d, reference %d", seed, step, n, wantExpired)
 					return false
@@ -290,8 +472,14 @@ func TestQuickConntrackOracle(t *testing.T) {
 				return false
 			}
 		}
-		if err := ct.CheckShardSums(); err != nil {
-			t.Log(err)
+		want.Live = uint64(liveRef())
+		got := ct.Stats()
+		if got.Reclaimed > want.Removes+want.Expired {
+			t.Logf("seed %d: reclaimed %d carcasses of %d removed + %d expired", seed, got.Reclaimed, want.Removes, want.Expired)
+			return false
+		}
+		if got.Reclaimed = 0; got != want {
+			t.Logf("seed %d: stats %+v, reference %+v", seed, got, want)
 			return false
 		}
 		// Final audit: every reference-live connection is served, every dead
@@ -307,7 +495,7 @@ func TestQuickConntrackOracle(t *testing.T) {
 				return false
 			}
 		}
-		return ct.CheckShardSums() == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -353,9 +541,6 @@ func TestConntrackPeek(t *testing.T) {
 	}
 	if ct.Peek(k) != nil {
 		t.Fatal("peek served a death-marked entry")
-	}
-	if err := ct.CheckShardSums(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,10 +1,12 @@
 // Package flowtest holds what the hash tests of flow, conntrack, vswitch and
 // dpdkr share: the pinned seeds, the oracle of the unkeyed hash the tree
 // used to have, a key set built to defeat that hash, and the measure of
-// "spreads like a uniform hash". Only tests import it.
+// "spreads like a uniform hash" — and the seed frames the frame-walk tests
+// of flow and pkt share. Only tests import it.
 package flowtest
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -97,5 +99,67 @@ func CheckSpread(tb testing.TB, what string, loads []int) {
 	if mean >= 64 && (float64(hi) > 2*mean || float64(lo) < mean/2) {
 		tb.Errorf("%s: %d keys over %d buckets: loads range %d..%d, want within 2x of the mean %.0f",
 			what, n, len(loads), lo, hi, mean)
+	}
+}
+
+// SeedFrames are the shapes every frame walk in the tree must agree with the
+// parser on (flow.PackFrame, pkt.Tuple): every layer the parser decodes,
+// tagged and untagged, and an IPv4 header with options.
+func SeedFrames(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	macA, macB := pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}
+	ipA, ipB := pkt.IP4{10, 1, 2, 3}, pkt.IP4{10, 99, 0, 1}
+	build := func(n int, err error, raw []byte) []byte {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return append([]byte(nil), raw[:n]...)
+	}
+	raw := make([]byte, 256)
+	udpSpec := pkt.UDPSpec{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
+		SrcPort: 5001, DstPort: 2000, FrameLen: 64}
+	n, err := pkt.BuildUDP(raw, udpSpec)
+	udp := build(n, err, raw)
+	udpSpec.VlanID, udpSpec.VlanPCP = 0x7a5, 5
+	n, err = pkt.BuildUDP(raw, udpSpec)
+	vlanUDP := build(n, err, raw)
+	n, err = pkt.BuildTCP(raw, pkt.TCPSpec{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
+		SrcPort: 40000, DstPort: 443, Flags: pkt.TCPSyn})
+	tcp := build(n, err, raw)
+	n, err = pkt.BuildARP(raw, pkt.ARPRequest, macA, ipA, pkt.MAC{}, ipB)
+	arp := build(n, err, raw)
+
+	icmp := append([]byte(nil), udp...)
+	icmp[pkt.EthernetLen+1] = 0xb8 // DSCP 46
+	icmp[pkt.EthernetLen+9] = pkt.ProtoICMP
+
+	// IHL 6: one word of options pushes the UDP header four bytes out.
+	l3 := pkt.EthernetLen
+	opts := append([]byte(nil), udp[:l3+pkt.IPv4MinLen]...)
+	opts = append(opts, 1, 1, 1, 1)
+	opts = append(opts, udp[l3+pkt.IPv4MinLen:]...)
+	opts[l3] = 0x46
+	binary.BigEndian.PutUint16(opts[l3+2:], binary.BigEndian.Uint16(udp[l3+2:])+4)
+
+	ipv6 := func(next uint8, l4 []byte) []byte {
+		f := append([]byte(nil), udp[:12]...)
+		f = append(f, 0x86, 0xdd)
+		hdr := make([]byte, pkt.IPv6Len)
+		hdr[0] = 0x60
+		binary.BigEndian.PutUint16(hdr[4:], uint16(len(l4)))
+		hdr[6], hdr[7] = next, 64
+		hdr[23], hdr[39] = 1, 2
+		return append(append(f, hdr...), l4...)
+	}
+	return map[string][]byte{
+		"udp":      udp,
+		"vlan-udp": vlanUDP,
+		"tcp":      tcp,
+		"icmp":     icmp,
+		"arp":      arp,
+		"ihl6-udp": opts,
+		"ipv6-udp": ipv6(pkt.ProtoUDP, udp[l3+pkt.IPv4MinLen:l3+pkt.IPv4MinLen+pkt.UDPLen]),
+		"ipv6-tcp": ipv6(pkt.ProtoTCP, tcp[l3+pkt.IPv4MinLen:]),
 	}
 }

@@ -1,7 +1,6 @@
 package flow_test
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,67 +9,6 @@ import (
 	"ovshighway/internal/flow/flowtest"
 	"ovshighway/internal/pkt"
 )
-
-// seedFrames are the shapes the key path must agree on: every layer the
-// parser decodes, tagged and untagged, and an IPv4 header with options.
-func seedFrames(tb testing.TB) map[string][]byte {
-	tb.Helper()
-	macA, macB := pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}
-	ipA, ipB := pkt.IP4{10, 1, 2, 3}, pkt.IP4{10, 99, 0, 1}
-	build := func(n int, err error, raw []byte) []byte {
-		tb.Helper()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return append([]byte(nil), raw[:n]...)
-	}
-	raw := make([]byte, 256)
-	udpSpec := pkt.UDPSpec{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
-		SrcPort: 5001, DstPort: 2000, FrameLen: 64}
-	n, err := pkt.BuildUDP(raw, udpSpec)
-	udp := build(n, err, raw)
-	udpSpec.VlanID, udpSpec.VlanPCP = 0x7a5, 5
-	n, err = pkt.BuildUDP(raw, udpSpec)
-	vlanUDP := build(n, err, raw)
-	n, err = pkt.BuildTCP(raw, pkt.TCPSpec{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
-		SrcPort: 40000, DstPort: 443, Flags: pkt.TCPSyn})
-	tcp := build(n, err, raw)
-	n, err = pkt.BuildARP(raw, pkt.ARPRequest, macA, ipA, pkt.MAC{}, ipB)
-	arp := build(n, err, raw)
-
-	icmp := append([]byte(nil), udp...)
-	icmp[pkt.EthernetLen+1] = 0xb8 // DSCP 46
-	icmp[pkt.EthernetLen+9] = pkt.ProtoICMP
-
-	// IHL 6: one word of options pushes the UDP header four bytes out.
-	l3 := pkt.EthernetLen
-	opts := append([]byte(nil), udp[:l3+pkt.IPv4MinLen]...)
-	opts = append(opts, 1, 1, 1, 1)
-	opts = append(opts, udp[l3+pkt.IPv4MinLen:]...)
-	opts[l3] = 0x46
-	binary.BigEndian.PutUint16(opts[l3+2:], binary.BigEndian.Uint16(udp[l3+2:])+4)
-
-	ipv6 := func(next uint8, l4 []byte) []byte {
-		f := append([]byte(nil), udp[:12]...)
-		f = append(f, 0x86, 0xdd)
-		hdr := make([]byte, pkt.IPv6Len)
-		hdr[0] = 0x60
-		binary.BigEndian.PutUint16(hdr[4:], uint16(len(l4)))
-		hdr[6], hdr[7] = next, 64
-		hdr[23], hdr[39] = 1, 2
-		return append(append(f, hdr...), l4...)
-	}
-	return map[string][]byte{
-		"udp":      udp,
-		"vlan-udp": vlanUDP,
-		"tcp":      tcp,
-		"icmp":     icmp,
-		"arp":      arp,
-		"ihl6-udp": opts,
-		"ipv6-udp": ipv6(pkt.ProtoUDP, udp[l3+pkt.IPv4MinLen:l3+pkt.IPv4MinLen+pkt.UDPLen]),
-		"ipv6-tcp": ipv6(pkt.ProtoTCP, tcp[l3+pkt.IPv4MinLen:]),
-	}
-}
 
 // checkPackFrame holds the one-pass key path to the control-plane one on a
 // single frame: same parse verdict as ever (the parser is untouched, so this
@@ -109,7 +47,7 @@ var sinkHash uint64
 
 // TestPackFrameSeeds runs every seed frame at every truncation length.
 func TestPackFrameSeeds(t *testing.T) {
-	for name, frame := range seedFrames(t) {
+	for name, frame := range flowtest.SeedFrames(t) {
 		flowtest.ForEachSeed(t, func(t *testing.T) {
 			for cut := 0; cut <= len(frame); cut++ {
 				checkPackFrame(t, frame[:cut], 7)
@@ -131,7 +69,7 @@ func TestQuickPackFrameMatchesExtractKey(t *testing.T) {
 
 func quickPackFrame(t *testing.T) {
 	var seeds [][]byte
-	for _, f := range seedFrames(t) {
+	for _, f := range flowtest.SeedFrames(t) {
 		seeds = append(seeds, f)
 	}
 	f := func(seed int64) bool {
@@ -155,7 +93,7 @@ func quickPackFrame(t *testing.T) {
 // FuzzPackFrame is the native fuzz target of the key path. Its seeds are
 // the shapes above plus every truncation length of the 64-byte frames.
 func FuzzPackFrame(f *testing.F) {
-	for _, frame := range seedFrames(f) {
+	for _, frame := range flowtest.SeedFrames(f) {
 		f.Add(frame, uint32(1))
 		if len(frame) == 64 {
 			for cut := 0; cut < len(frame); cut++ {

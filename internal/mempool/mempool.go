@@ -35,10 +35,6 @@ type Buf struct {
 	Port uint32
 	// TS is an optional nanosecond timestamp used by latency probes.
 	TS int64
-	// Hash caches the 5-tuple hash computed by the first classifier lookup.
-	Hash uint32
-	// HashValid reports whether Hash has been computed for current contents.
-	HashValid bool
 
 	pool *Pool
 	// refcnt supports multicast actions (one buffer output to N ports). It is
@@ -61,7 +57,6 @@ func (b *Buf) SetBytes(p []byte) error {
 	}
 	b.Off = b.pool.headroom
 	b.Len = copy(b.Data[b.Off:], p)
-	b.HashValid = false
 	return nil
 }
 
@@ -73,7 +68,6 @@ func (b *Buf) Prepend(n int) ([]byte, error) {
 	}
 	b.Off -= n
 	b.Len += n
-	b.HashValid = false
 	return b.Data[b.Off : b.Off+n], nil
 }
 
@@ -84,7 +78,6 @@ func (b *Buf) Adj(n int) error {
 	}
 	b.Off += n
 	b.Len -= n
-	b.HashValid = false
 	return nil
 }
 
@@ -223,8 +216,6 @@ func (b *Buf) reset(headroom int) {
 	b.Len = 0
 	b.Port = 0
 	b.TS = 0
-	b.Hash = 0
-	b.HashValid = false
 	b.refcnt = 1
 }
 

@@ -57,11 +57,9 @@ func TestBufResetOnGet(t *testing.T) {
 	b.SetBytes([]byte("hello"))
 	b.Port = 7
 	b.TS = 99
-	b.Hash = 123
-	b.HashValid = true
 	b.Free()
 	b2, _ := p.Get()
-	if b2.Len != 0 || b2.Off != 32 || b2.Port != 0 || b2.TS != 0 || b2.HashValid {
+	if b2.Len != 0 || b2.Off != 32 || b2.Port != 0 || b2.TS != 0 {
 		t.Fatalf("buffer not reset: %+v", b2)
 	}
 	if b2.Refcnt() != 1 {

@@ -175,24 +175,21 @@ func PopVlan(frame []byte) (uint16, error) {
 	return vid, nil
 }
 
-// FrameVlanID peeks the 802.1Q VLAN id of a frame without a full parse —
-// the per-frame demultiplex step of the trunk fabric. ok is false when the
-// frame is too short or not tagged.
-func FrameVlanID(frame []byte) (vid uint16, ok bool) {
+// FrameVlanTCI peeks the 802.1Q tag control word of a frame — PCP in the top
+// three bits, vid in the low twelve — without a full parse: the per-frame
+// lane and class demultiplex step of the trunk fabric, one load for both. ok
+// is false when the frame is too short or not tagged.
+func FrameVlanTCI(frame []byte) (tci uint16, ok bool) {
 	if len(frame) < EthernetLen+VLANLen || be.Uint16(frame[12:14]) != EtherTypeVLAN {
 		return 0, false
 	}
-	return be.Uint16(frame[14:16]) & 0x0fff, true
+	return be.Uint16(frame[14:16]), true
 }
 
-// FrameVlanPCP peeks the 802.1Q priority code point of a frame without a
-// full parse — the per-frame class demultiplex step of the trunk's DRR
-// scheduler. ok is false when the frame is too short or not tagged.
-func FrameVlanPCP(frame []byte) (pcp uint8, ok bool) {
-	if len(frame) < EthernetLen+VLANLen || be.Uint16(frame[12:14]) != EtherTypeVLAN {
-		return 0, false
-	}
-	return frame[14] >> 5, true
+// FrameVlanID is the vid of FrameVlanTCI.
+func FrameVlanID(frame []byte) (vid uint16, ok bool) {
+	tci, ok := FrameVlanTCI(frame)
+	return tci & 0x0fff, ok
 }
 
 // BuildARP serializes an Ethernet/IPv4 ARP message into dst.

@@ -515,15 +515,20 @@ type pump struct {
 	cursor     int
 	inService  [8]bool
 	stagingCap int
+	// staged is the number of frames in the eight class queues together,
+	// kept as frames are staged and granted so that no step has to scan the
+	// classes to learn whether, or how much, there is to schedule.
+	staged int
 
-	// Congestion signal: every pump step folds the staging occupancy (summed
-	// over the 8 PCP classes, scaled against stagingCap) and the
+	// Congestion signal: every pump step folds the staging occupancy (staged,
+	// scaled against stagingCap) and the
 	// staging-overflow drop delta into an EWMA and publishes the resulting
 	// 0..255 score into the SOURCE NIC's congestion gauge — the port the
 	// sending switch outputs into, so its adaptive ECMP reads exactly this
 	// direction's backpressure. congAcc holds the EWMA in 1/16ths for
 	// smoothing headroom; congDrops/lastCongDrops are single-writer like
-	// every other pump field (only the gauge store is atomic).
+	// every other pump field (only the gauge store is atomic, and it happens
+	// only when the score moved).
 	congAcc       int
 	congDrops     uint64
 	lastCongDrops uint64
@@ -598,12 +603,52 @@ func (p *pump) stats() DirStats {
 	return DirStats{Carried: p.carried.Load(), Dropped: p.dropped.Load()}
 }
 
-// laneDir returns the lane counter side this pump feeds.
-func (p *pump) laneDir(ln *lane) *dirCounters {
-	if p.dir == dirAB {
-		return &ln.ab
+// run is an open run of frames that share a lane and a PCP class and are not
+// yet counted: the lane and class counters move once per run — two atomic
+// adds where a burst is nearly always one run — not once per frame.
+type run struct {
+	ln  *lane
+	pcp uint8
+	n   uint64
+}
+
+// add extends r by one frame of (ln, pcp), closing it first if it was a run
+// of another pair.
+func (p *pump) add(r *run, ln *lane, pcp uint8, dropped bool) {
+	if ln != r.ln || pcp != r.pcp {
+		p.flush(r, dropped)
+		r.ln, r.pcp = ln, pcp
 	}
-	return &ln.ba
+	r.n++
+}
+
+// flush closes r into its lane's and its class's carried (or dropped)
+// counters.
+func (p *pump) flush(r *run, dropped bool) {
+	if r.n == 0 {
+		return
+	}
+	dc := &r.ln.ab
+	if p.dir == dirBA {
+		dc = &r.ln.ba
+	}
+	if dropped {
+		dc.dropped.Add(r.n)
+		p.pcpDropped[r.pcp].Add(r.n)
+	} else {
+		dc.carried.Add(r.n)
+		p.pcpCarried[r.pcp].Add(r.n)
+	}
+	r.n = 0
+}
+
+// countRuns counts the delayed frames ds as carried (or dropped).
+func (p *pump) countRuns(ds []delayed, dropped bool) {
+	var r run
+	for i := range ds {
+		p.add(&r, ds[i].lane, ds[i].pcp, dropped)
+	}
+	p.flush(&r, dropped)
 }
 
 // pull drains a burst off the transmitting NIC, demultiplexes each frame to
@@ -622,18 +667,21 @@ func (p *pump) pull() int {
 		loss := math.Float64frombits(p.trunk.lossBits.Load())
 		got := p.dstBufs.GetBatch(p.homed[:n])
 		kept := 0
-		var unrouted uint64
+		var unrouted, faulted uint64
 		// A burst rides few lanes: the previous frame's (vid → lane) answer
-		// is kept, so a run of one lane costs one map access.
+		// is kept, so a run of one lane costs one map access, and trunk
+		// drops are counted per run of one (lane, pcp).
 		var memoVid uint16
 		var memoLane *lane
 		memo := false
+		var drops run
 		for i := 0; i < n; i++ {
 			srcBuf := p.drained[i]
-			vid, tagged := pkt.FrameVlanID(srcBuf.Bytes())
+			frame := srcBuf.Bytes()
+			tci, tagged := pkt.FrameVlanTCI(frame)
 			var ln *lane
 			if tagged {
-				if !memo || vid != memoVid {
+				if vid := tci & 0x0fff; !memo || vid != memoVid {
 					memoVid, memoLane, memo = vid, lanes[vid], true
 				}
 				ln = memoLane
@@ -642,34 +690,33 @@ func (p *pump) pull() int {
 				unrouted++
 				continue // no lane carries this frame: trunk drop
 			}
-			pcp, _ := pkt.FrameVlanPCP(srcBuf.Bytes())
-			if down || (loss > 0 && p.rand01() < loss) {
-				p.trunk.faulted.Add(1)
-				p.laneDir(ln).dropped.Add(1)
-				p.pcpDropped[pcp].Add(1)
-				continue // injected fault: lost on the wire
-			}
-			if kept >= got {
-				p.laneDir(ln).dropped.Add(1)
-				p.pcpDropped[pcp].Add(1)
-				continue // destination pool exhausted: trunk drop
-			}
+			pcp := uint8(tci >> 13)
 			cq := &p.classes[pcp]
-			if cq.pending() >= p.stagingCap {
-				p.laneDir(ln).dropped.Add(1)
-				p.pcpDropped[pcp].Add(1)
-				p.congDrops++
-				continue // class egress queue full: trunk drop
+			var dstBuf *mempool.Buf
+			switch {
+			case down || (loss > 0 && p.rand01() < loss):
+				faulted++ // injected fault: lost on the wire
+			case kept >= got:
+				// destination pool exhausted
+			case cq.pending() >= p.stagingCap:
+				p.congDrops++ // class egress queue full
+			case p.homed[kept].SetBytes(frame) != nil:
+				// frame exceeds destination buffer geometry
+			default:
+				dstBuf = p.homed[kept]
 			}
-			dstBuf := p.homed[kept]
-			if err := dstBuf.SetBytes(srcBuf.Bytes()); err != nil {
-				p.laneDir(ln).dropped.Add(1)
-				p.pcpDropped[pcp].Add(1)
-				continue // frame exceeds destination buffer geometry: trunk drop
+			if dstBuf == nil {
+				p.add(&drops, ln, pcp, true) // trunk drop
+				continue
 			}
 			dstBuf.TS = srcBuf.TS // latency probes survive the hop
 			cq.q = append(cq.q, delayed{buf: dstBuf, lane: ln, pcp: pcp})
 			kept++
+		}
+		p.flush(&drops, true)
+		p.staged += kept
+		if faulted > 0 {
+			p.trunk.faulted.Add(faulted)
 		}
 		// Unused destination buffers (demux/re-home failures) go straight back…
 		if kept < got {
@@ -701,11 +748,7 @@ func (p *pump) pull() int {
 // unambiguous congestion evidence, occupancy alone could sit just under the
 // cap forever. Zero-alloc, single-writer; only the gauge store is atomic.
 func (p *pump) updateCongestion() {
-	occ := 0
-	for c := range p.classes {
-		occ += p.classes[c].pending()
-	}
-	inst := occ * 255 / p.stagingCap
+	inst := p.staged * 255 / p.stagingCap
 	if d := p.congDrops - p.lastCongDrops; d > 0 {
 		inst = 255
 		p.lastCongDrops = p.congDrops
@@ -717,7 +760,9 @@ func (p *pump) updateCongestion() {
 	// steps of an incast, smooth enough that one bursty poll does not flap
 	// the sender's repick gate.
 	p.congAcc += (inst*16 - p.congAcc) / 4
-	p.gauge.Store(uint32(p.congAcc / 16))
+	if score := uint32(p.congAcc / 16); score != p.gauge.Load() {
+		p.gauge.Store(score)
+	}
 }
 
 // rand01 returns the next xorshift64* sample mapped to [0,1).
@@ -738,31 +783,22 @@ func (p *pump) rand01() float64 {
 // shaping (rate 0) every staged frame moves immediately and weights are
 // moot — QoS only bites when the uplink is the bottleneck.
 func (p *pump) schedule() int {
-	pending := 0
-	for c := range p.classes {
-		pending += p.classes[c].pending()
-	}
-	if pending == 0 {
+	if p.staged == 0 {
 		return 0
 	}
-	tokens := p.bucket.take(pending)
+	tokens := p.bucket.take(p.staged)
 	if tokens == 0 {
 		return 0
 	}
 	granted := 0
 	due := time.Now().Add(p.shaping.Latency).UnixNano()
-	for tokens > 0 {
-		// Advance the cursor to the next backlogged class; an emptied class
-		// forfeits its deficit (classic DRR).
-		probes := 0
-		for probes < 8 && p.classes[p.cursor].pending() == 0 {
+	for tokens > 0 && p.staged > 0 {
+		// Advance the cursor to the next backlogged class (staged > 0: there
+		// is one); an emptied class forfeits its deficit (classic DRR).
+		for p.classes[p.cursor].pending() == 0 {
 			p.deficit[p.cursor] = 0
 			p.inService[p.cursor] = false
-			p.cursor = (p.cursor + 1) % 8
-			probes++
-		}
-		if probes == 8 {
-			break // nothing left to grant
+			p.cursor = (p.cursor + 1) & 7
 		}
 		c := p.cursor
 		cq := &p.classes[c]
@@ -785,6 +821,7 @@ func (p *pump) schedule() int {
 			cq.head++
 		}
 		p.deficit[c] -= serve
+		p.staged -= serve
 		tokens -= serve
 		granted += serve
 		switch {
@@ -793,10 +830,15 @@ func (p *pump) schedule() int {
 			cq.head = 0
 			p.deficit[c] = 0
 			p.inService[c] = false
-			p.cursor = (c + 1) % 8
+			// The turn passes on only if someone is waiting for it: with
+			// nothing staged at all the cursor rests here, and the one-class
+			// trunk does not walk seven empty classes back round every step.
+			if p.staged > 0 {
+				p.cursor = (c + 1) & 7
+			}
 		case p.deficit[c] < 1:
 			p.inService[c] = false
-			p.cursor = (c + 1) % 8
+			p.cursor = (c + 1) & 7
 		default:
 			// Tokens ran out mid-quantum: stay in service at this class so
 			// the next grant resumes here.
@@ -845,20 +887,12 @@ func (p *pump) deliver() int {
 		}
 		sent := p.dst.NIC.InjectFromWire(p.homed[:k])
 		p.carried.Add(uint64(sent))
-		for i := 0; i < sent; i++ {
-			d := &p.inFly[winStart+i]
-			p.laneDir(d.lane).carried.Add(1)
-			p.pcpCarried[d.pcp].Add(1)
-		}
+		p.countRuns(p.inFly[winStart:winStart+sent], false)
 		moved += k
 		if sent < k {
 			p.dstBufs.FreeBatch(p.homed[sent:k])
 			p.dropped.Add(uint64(k - sent))
-			for i := sent; i < k; i++ {
-				d := &p.inFly[winStart+i]
-				p.laneDir(d.lane).dropped.Add(1)
-				p.pcpDropped[d.pcp].Add(1)
-			}
+			p.countRuns(p.inFly[winStart+sent:winStart+k], true)
 		}
 	}
 	if p.inHead == len(p.inFly) {
@@ -892,6 +926,7 @@ func (p *pump) drain() {
 		cq.q = nil
 		cq.head = 0
 	}
+	p.staged = 0
 	p.srcFree.Flush()
 	p.dstBufs.Flush()
 }

@@ -18,28 +18,14 @@ import (
 // over the 5-tuple. Each App is a single
 // goroutine, satisfying the table's single-writer-per-shard contract; the
 // vSwitch sweeper expires idle entries cross-thread via death-marks.
-
-// fixupL4 repairs the transport checksum after an IP/port rewrite: UDP drops
-// to the no-checksum sentinel (legal for IPv4 UDP — recomputation would scan
-// the payload), TCP recomputes over the pseudo-header and segment.
-func fixupL4(p *pkt.Parser) {
-	switch {
-	case p.Decoded.Has(pkt.LayerUDP):
-		p.UDP.SetChecksum(0)
-	case p.Decoded.Has(pkt.LayerTCP):
-		p.TCP.SetChecksum(0)
-		p.TCP.SetChecksum(pkt.L4Checksum(p.IPv4.Src(), p.IPv4.Dst(), pkt.ProtoTCP, p.TCP.Segment()))
-	}
-}
-
-// reverseKey returns the tuple return traffic for k carries.
-func reverseKey(k conntrack.Key) conntrack.Key {
-	return conntrack.Key{
-		Src: k.Dst, Dst: k.Src,
-		SrcPort: k.DstPort, DstPort: k.SrcPort,
-		Proto: k.Proto,
-	}
-}
+//
+// A handler reads each packet with pkt.Tuple — one validated header walk, no
+// Parser views — probes with Table.Probe, rewrites through the walk's offsets
+// (pkt.Loc.SetSrc/SetDst patch the checksums), and publishes the burst's
+// conntrack tallies and its own counters once, after the loop. Frames the
+// walk rejects — not IPv4, a TotalLen that lies, a non-first fragment, a
+// truncated transport header — are not translatable and carry no trackable
+// tuple.
 
 // --- NAT44 ------------------------------------------------------------------
 
@@ -136,35 +122,33 @@ func NewNAT44(name string, inside, outside *dpdkr.PMD, pool *mempool.Pool, cfg N
 		n.portFree = append(n.portFree, cfg.PortBase+uint16(i))
 	}
 	ct := cfg.Table
-	var parser pkt.Parser
 	handler := func(ctx *Ctx, inPort int, bufs []*mempool.Buf) {
 		now := time.Now().UnixNano()
 		n.drainLinger(ct, now)
 		keep := bufs[:0]
+		untransl := uint64(0)
+		var ft conntrack.Key
 		for _, b := range bufs {
-			if parser.Parse(b.Bytes()) != nil || !parser.Decoded.Has(pkt.LayerIPv4) {
-				n.Untransl.Add(1)
+			frame := b.Bytes()
+			at, ok := pkt.Tuple(frame, &ft)
+			forward := false
+			switch {
+			case !ok || ft.Proto == pkt.ProtoICMP:
+				untransl++
+			case inPort == 0:
+				forward = n.outbound(ct, frame, &ft, at, now)
+			default:
+				forward = n.inbound(ct, frame, &ft, at, now)
+			}
+			if !forward {
 				ctx.Reject(b)
 				continue
-			}
-			ft, ok := parser.FiveTuple()
-			if !ok || (ft.Proto != pkt.ProtoUDP && ft.Proto != pkt.ProtoTCP) {
-				n.Untransl.Add(1)
-				ctx.Reject(b)
-				continue
-			}
-			if inPort == 0 {
-				if !n.outbound(ct, &parser, ft, now) {
-					ctx.Reject(b)
-					continue
-				}
-			} else {
-				if !n.inbound(ct, &parser, ft, now) {
-					ctx.Reject(b)
-					continue
-				}
 			}
 			keep = append(keep, b)
+		}
+		ct.Commit()
+		if untransl > 0 {
+			n.Untransl.Add(untransl)
 		}
 		ctx.Tx(1-inPort, keep)
 	}
@@ -177,91 +161,79 @@ func NewNAT44(name string, inside, outside *dpdkr.PMD, pool *mempool.Pool, cfg N
 
 // outbound translates inside→outside traffic, establishing a binding on the
 // first packet of a connection.
-func (n *NAT44) outbound(ct *conntrack.Table, p *pkt.Parser, ft conntrack.Key, now int64) bool {
-	e := ct.Lookup(ft, now)
+func (n *NAT44) outbound(ct *conntrack.Table, frame []byte, ft *conntrack.Key, at pkt.Loc, now int64) bool {
+	e := ct.Probe(ft, now)
 	if e == nil {
-		if len(n.portFree) == 0 {
+		if e = n.bind(ct, *ft, now); e == nil {
 			n.Exhausted.Add(1)
 			return false
 		}
-		port := n.portFree[len(n.portFree)-1]
-		fwd := ct.Insert(ft, now)
-		if fwd == nil {
-			n.Exhausted.Add(1)
-			return false
-		}
-		// Reverse binding keyed by the tuple return packets carry:
-		// remoteIP:remotePort → ExtIP:port.
-		rk := conntrack.Key{Src: ft.Dst, Dst: n.cfg.ExtIP, SrcPort: ft.DstPort, DstPort: port, Proto: ft.Proto}
-		rev := ct.Insert(rk, now)
-		if rev == nil {
-			ct.Remove(ft)
-			n.Exhausted.Add(1)
-			return false
-		}
-		n.portFree = n.portFree[:len(n.portFree)-1]
-		n.binding[port-n.cfg.PortBase] = ft
-		n.bound[port-n.cfg.PortBase] = true
-		fwd.XlateIP = n.cfg.ExtIP
-		fwd.XlatePort = port
-		rev.XlateIP = ft.Src
-		rev.XlatePort = ft.SrcPort
-		if ft.Proto == pkt.ProtoTCP {
-			fwd.TCPState = conntrack.TCPOpening
-			rev.TCPState = conntrack.TCPOpening
-		}
-		n.Bound.Add(1)
-		e = fwd
 	}
-	xip, xport := e.XlateIP, e.XlatePort
-	fin, rst := observeTCP(p, e)
-	p.IPv4.SetSrc(xip)
-	if p.Decoded.Has(pkt.LayerUDP) {
-		p.UDP.SetSrcPort(xport)
-	} else {
-		p.TCP.SetSrcPort(xport)
+	if ft.Proto == pkt.ProtoTCP {
+		if fin, rst := observeTCP(at.TCPFlags(frame), e); fin || rst {
+			n.noteClose(e.XlatePort, closeFinIn, rst, now)
+		}
 	}
-	p.IPv4.UpdateChecksum()
-	fixupL4(p)
-	if fin || rst {
-		n.noteClose(xport, closeFinIn, rst, now)
-	}
+	at.SetSrc(frame, e.XlateIP, e.XlatePort)
 	return true
+}
+
+// bind allocates a block port for the new inside→outside connection ft and
+// inserts its two conntrack entries, returning the forward one — nil when the
+// block is empty or the table full.
+func (n *NAT44) bind(ct *conntrack.Table, ft conntrack.Key, now int64) *conntrack.Entry {
+	if len(n.portFree) == 0 {
+		return nil
+	}
+	port := n.portFree[len(n.portFree)-1]
+	fwd := ct.Insert(ft, now)
+	if fwd == nil {
+		return nil
+	}
+	// Reverse binding keyed by the tuple return packets carry:
+	// remoteIP:remotePort → ExtIP:port.
+	rk := conntrack.Key{Src: ft.Dst, Dst: n.cfg.ExtIP, SrcPort: ft.DstPort, DstPort: port, Proto: ft.Proto}
+	rev := ct.Insert(rk, now)
+	if rev == nil {
+		ct.Remove(ft)
+		return nil
+	}
+	n.portFree = n.portFree[:len(n.portFree)-1]
+	n.binding[port-n.cfg.PortBase] = ft
+	n.bound[port-n.cfg.PortBase] = true
+	fwd.XlateIP = n.cfg.ExtIP
+	fwd.XlatePort = port
+	rev.XlateIP = ft.Src
+	rev.XlatePort = ft.SrcPort
+	if ft.Proto == pkt.ProtoTCP {
+		fwd.TCPState = conntrack.TCPOpening
+		rev.TCPState = conntrack.TCPOpening
+	}
+	n.Bound.Add(1)
+	return fwd
 }
 
 // inbound translates outside→inside return traffic through an existing
 // binding; unsolicited traffic dies here (the NAT is also a stateful
 // firewall).
-func (n *NAT44) inbound(ct *conntrack.Table, p *pkt.Parser, ft conntrack.Key, now int64) bool {
-	e := ct.Lookup(ft, now)
+func (n *NAT44) inbound(ct *conntrack.Table, frame []byte, ft *conntrack.Key, at pkt.Loc, now int64) bool {
+	e := ct.Probe(ft, now)
 	if e == nil {
 		n.Unsolicit.Add(1)
 		return false
 	}
-	insideIP, insidePort := e.XlateIP, e.XlatePort
-	extPort := ft.DstPort
-	fin, rst := observeTCP(p, e)
-	p.IPv4.SetDst(insideIP)
-	if p.Decoded.Has(pkt.LayerUDP) {
-		p.UDP.SetDstPort(insidePort)
-	} else {
-		p.TCP.SetDstPort(insidePort)
+	if ft.Proto == pkt.ProtoTCP {
+		if fin, rst := observeTCP(at.TCPFlags(frame), e); fin || rst {
+			n.noteClose(ft.DstPort, closeFinOut, rst, now)
+		}
 	}
-	p.IPv4.UpdateChecksum()
-	fixupL4(p)
-	if fin || rst {
-		n.noteClose(extPort, closeFinOut, rst, now)
-	}
+	at.SetDst(frame, e.XlateIP, e.XlatePort)
 	return true
 }
 
-// observeTCP advances the coarse TCP lifecycle on e and reports whether the
-// packet carries a FIN or RST.
-func observeTCP(p *pkt.Parser, e *conntrack.Entry) (fin, rst bool) {
-	if !p.Decoded.Has(pkt.LayerTCP) {
-		return false, false
-	}
-	f := p.TCP.Flags()
+// observeTCP advances the coarse TCP lifecycle on e from a segment's flags f
+// and reports whether it carries a FIN or RST.
+func observeTCP(f uint8, e *conntrack.Entry) (fin, rst bool) {
 	switch {
 	case f&pkt.TCPRst != 0:
 		e.TCPState = conntrack.TCPClosing
@@ -421,23 +393,25 @@ func NewACL(name string, in, out *dpdkr.PMD, pool *mempool.Pool, ct *conntrack.T
 	handler := func(ctx *Ctx, inPort int, bufs []*mempool.Buf) {
 		now := time.Now().UnixNano()
 		keep := bufs[:0]
+		var established, walked uint64
+		var ft conntrack.Key
 		for _, b := range bufs {
+			_, ok := pkt.Tuple(b.Bytes(), &ft)
+			if ok && ct.Probe(&ft, now) != nil {
+				// Established: no classifier walk, no allocation.
+				established++
+				keep = append(keep, b)
+				continue
+			}
+			// First packet, or untrackable (the walk found no tuple: not
+			// IPv4, malformed, a non-first fragment): classifier walk over
+			// the vSwitch parser's key.
 			if parser.Parse(b.Bytes()) != nil {
 				a.Denied.Add(1)
 				ctx.Reject(b)
 				continue
 			}
-			ft, ok := parser.FiveTuple()
-			if ok {
-				if e := ct.Lookup(ft, now); e != nil {
-					// Established: no classifier walk, no allocation.
-					a.Established.Add(1)
-					keep = append(keep, b)
-					continue
-				}
-			}
-			// First packet (or untrackable): classifier walk.
-			a.Walked.Add(1)
+			walked++
 			k := flow.ExtractKey(&parser, uint32(inPort))
 			f := a.rules.Lookup(&k)
 			allow := f != nil && len(f.Actions) > 0 && f.Actions[0].Type == flow.ActOutput
@@ -454,7 +428,8 @@ func NewACL(name string, in, out *dpdkr.PMD, pool *mempool.Pool, ct *conntrack.T
 				// denied. Untracked, the connection keeps re-walking the
 				// classifier and retries tracking once the table has room.
 				if fe := ct.Insert(ft, now); fe != nil {
-					if ct.Insert(reverseKey(ft), now) == nil {
+					rk := conntrack.Key{Src: ft.Dst, Dst: ft.Src, SrcPort: ft.DstPort, DstPort: ft.SrcPort, Proto: ft.Proto}
+					if ct.Insert(rk, now) == nil {
 						ct.Remove(ft)
 						a.TableFull.Add(1)
 					}
@@ -463,6 +438,11 @@ func NewACL(name string, in, out *dpdkr.PMD, pool *mempool.Pool, ct *conntrack.T
 				}
 			}
 			keep = append(keep, b)
+		}
+		ct.Commit()
+		a.Established.Add(established)
+		if walked > 0 {
+			a.Walked.Add(walked)
 		}
 		ctx.Tx(1-inPort, keep)
 	}
@@ -525,33 +505,32 @@ func NewBalancer(name string, client, backend *dpdkr.PMD, pool *mempool.Pool, cf
 	}
 	lb := &Balancer{cfg: cfg}
 	ct := cfg.Table
-	var parser pkt.Parser
 	handler := func(ctx *Ctx, inPort int, bufs []*mempool.Buf) {
 		now := time.Now().UnixNano()
 		keep := bufs[:0]
+		notVIP := uint64(0)
+		var ft conntrack.Key
 		for _, b := range bufs {
-			if parser.Parse(b.Bytes()) != nil || !parser.Decoded.Has(pkt.LayerIPv4) {
-				lb.NotVIP.Add(1)
-				ctx.Reject(b)
-				continue
-			}
-			ft, ok := parser.FiveTuple()
-			if !ok || (ft.Proto != pkt.ProtoUDP && ft.Proto != pkt.ProtoTCP) {
-				lb.NotVIP.Add(1)
-				ctx.Reject(b)
-				continue
-			}
+			frame := b.Bytes()
+			at, ok := pkt.Tuple(frame, &ft)
 			forward := false
-			if inPort == 0 {
-				forward = lb.toBackend(ct, &parser, ft, now)
-			} else {
-				forward = lb.toClient(ct, &parser, ft, now)
+			switch {
+			case !ok || ft.Proto == pkt.ProtoICMP:
+				notVIP++
+			case inPort == 0:
+				forward = lb.toBackend(ct, frame, &ft, at, now)
+			default:
+				forward = lb.toClient(ct, frame, &ft, at, now)
 			}
 			if !forward {
 				ctx.Reject(b)
 				continue
 			}
 			keep = append(keep, b)
+		}
+		ct.Commit()
+		if notVIP > 0 {
+			lb.NotVIP.Add(notVIP)
 		}
 		ctx.Tx(1-inPort, keep)
 	}
@@ -564,64 +543,58 @@ func NewBalancer(name string, client, backend *dpdkr.PMD, pool *mempool.Pool, cf
 
 // toBackend DNATs a client→VIP packet to its pinned backend, pinning one on
 // the first packet.
-func (lb *Balancer) toBackend(ct *conntrack.Table, p *pkt.Parser, ft conntrack.Key, now int64) bool {
-	e := ct.Lookup(ft, now)
+func (lb *Balancer) toBackend(ct *conntrack.Table, frame []byte, ft *conntrack.Key, at pkt.Loc, now int64) bool {
+	e := ct.Probe(ft, now)
 	if e == nil {
 		if ft.Dst != lb.cfg.VIP || ft.DstPort != lb.cfg.VIPPort {
 			lb.NotVIP.Add(1)
 			return false
 		}
-		// Pin by the connection hash — the same value that spread the
-		// connection across RX queues and fabric paths.
-		idx := int32(conntrack.HashKey(ft) % uint32(len(lb.cfg.Backends)))
-		fwd := ct.Insert(ft, now)
-		if fwd == nil {
+		if e = lb.pin(ct, *ft, now); e == nil {
 			lb.Full.Add(1)
 			return false
 		}
-		bk := lb.cfg.Backends[idx]
-		// Reverse pin keyed by the tuple backend replies carry.
-		rk := conntrack.Key{Src: bk.IP, Dst: ft.Src, SrcPort: bk.Port, DstPort: ft.SrcPort, Proto: ft.Proto}
-		rev := ct.Insert(rk, now)
-		if rev == nil {
-			ct.Remove(ft)
-			lb.Full.Add(1)
-			return false
-		}
-		fwd.Backend = idx
-		fwd.XlateIP = bk.IP
-		fwd.XlatePort = bk.Port
-		rev.Backend = idx
-		rev.XlateIP = lb.cfg.VIP
-		rev.XlatePort = lb.cfg.VIPPort
-		lb.NewConns.Add(1)
-		e = fwd
 	}
-	p.IPv4.SetDst(e.XlateIP)
-	if p.Decoded.Has(pkt.LayerUDP) {
-		p.UDP.SetDstPort(e.XlatePort)
-	} else {
-		p.TCP.SetDstPort(e.XlatePort)
-	}
-	p.IPv4.UpdateChecksum()
-	fixupL4(p)
+	at.SetDst(frame, e.XlateIP, e.XlatePort)
 	return true
 }
 
+// pin picks a backend for the new client→VIP connection ft and inserts its
+// two conntrack entries, returning the forward one — nil when the table is
+// full.
+func (lb *Balancer) pin(ct *conntrack.Table, ft conntrack.Key, now int64) *conntrack.Entry {
+	// Pin by the connection hash — the same value that spread the
+	// connection across RX queues and fabric paths.
+	idx := int32(conntrack.HashKey(ft) % uint32(len(lb.cfg.Backends)))
+	fwd := ct.Insert(ft, now)
+	if fwd == nil {
+		return nil
+	}
+	bk := lb.cfg.Backends[idx]
+	// Reverse pin keyed by the tuple backend replies carry.
+	rk := conntrack.Key{Src: bk.IP, Dst: ft.Src, SrcPort: bk.Port, DstPort: ft.SrcPort, Proto: ft.Proto}
+	rev := ct.Insert(rk, now)
+	if rev == nil {
+		ct.Remove(ft)
+		return nil
+	}
+	fwd.Backend = idx
+	fwd.XlateIP = bk.IP
+	fwd.XlatePort = bk.Port
+	rev.Backend = idx
+	rev.XlateIP = lb.cfg.VIP
+	rev.XlatePort = lb.cfg.VIPPort
+	lb.NewConns.Add(1)
+	return fwd
+}
+
 // toClient SNATs a backend reply's source back to the VIP.
-func (lb *Balancer) toClient(ct *conntrack.Table, p *pkt.Parser, ft conntrack.Key, now int64) bool {
-	e := ct.Lookup(ft, now)
+func (lb *Balancer) toClient(ct *conntrack.Table, frame []byte, ft *conntrack.Key, at pkt.Loc, now int64) bool {
+	e := ct.Probe(ft, now)
 	if e == nil {
 		lb.NoState.Add(1)
 		return false
 	}
-	p.IPv4.SetSrc(e.XlateIP)
-	if p.Decoded.Has(pkt.LayerUDP) {
-		p.UDP.SetSrcPort(e.XlatePort)
-	} else {
-		p.TCP.SetSrcPort(e.XlatePort)
-	}
-	p.IPv4.UpdateChecksum()
-	fixupL4(p)
+	at.SetSrc(frame, e.XlateIP, e.XlatePort)
 	return true
 }

@@ -77,8 +77,8 @@ func TestNAT44Translates(t *testing.T) {
 	if !p.IPv4.VerifyChecksum() {
 		t.Fatal("IPv4 checksum invalid after NAT")
 	}
-	if p.UDP.Checksum() != 0 {
-		t.Fatal("UDP checksum not cleared")
+	if c := p.UDP.Checksum(); c == 0 || !l4ChecksumValid(p) {
+		t.Fatalf("UDP checksum %#04x not patched to the translated header", c)
 	}
 	b.Free()
 	if nat.Bound.Load() != 1 || nat.PortsFree() != 15 {

@@ -28,6 +28,7 @@ type Handler func(ctx *Ctx, inPort int, bufs []*mempool.Buf)
 type Ctx struct {
 	app   *App
 	cache *mempool.Cache
+	batch []*mempool.Buf // the receive burst
 	// rejects collects the buffers the running handler call has Rejected.
 	rejects []*mempool.Buf
 	// blocked records that a Tx since the run loop last looked found its ring
@@ -98,6 +99,7 @@ type App struct {
 	pool    *mempool.Pool
 	batch   int
 	handler Handler
+	polled  *Ctx // PollOnce's loop state
 
 	RxPackets atomic.Uint64
 	TxPackets atomic.Uint64
@@ -139,26 +141,15 @@ func New(cfg Config) (*App, error) {
 // Start launches the lcore goroutine.
 func (a *App) Start() { a.start(a.run) }
 
+func (a *App) newCtx() *Ctx {
+	return &Ctx{app: a, cache: a.pool.NewCache(), batch: make([]*mempool.Buf, a.batch)}
+}
+
 func (a *App) run() {
-	ctx := &Ctx{app: a, cache: a.pool.NewCache()}
+	ctx := a.newCtx()
 	defer ctx.cache.Flush()
-	batch := make([]*mempool.Buf, a.batch)
 	for !a.stop.Load() {
-		work := false
-		for i, pmd := range a.pmds {
-			n := pmd.Rx(batch)
-			if n == 0 {
-				continue
-			}
-			work = true
-			a.RxPackets.Add(uint64(n))
-			a.handler(ctx, i, batch[:n])
-			if len(ctx.rejects) > 0 {
-				ctx.Drop(ctx.rejects)
-				ctx.rejects = ctx.rejects[:0]
-			}
-		}
-		if !work {
+		if ctx.poll() == 0 {
 			ctx.cache.Flush()
 			runtime.Gosched()
 		} else if ctx.blocked {
@@ -166,6 +157,45 @@ func (a *App) run() {
 			runtime.Gosched()
 		}
 	}
+}
+
+// poll is one iteration of the lcore loop: a burst off each port, through the
+// handler. It returns the packets received.
+func (c *Ctx) poll() int {
+	a, total := c.app, 0
+	for i, pmd := range a.pmds {
+		n := pmd.Rx(c.batch)
+		if n == 0 {
+			continue
+		}
+		total += n
+		a.RxPackets.Add(uint64(n))
+		a.handler(c, i, c.batch[:n])
+		if len(c.rejects) > 0 {
+			c.Drop(c.rejects)
+			c.rejects = c.rejects[:0]
+		}
+	}
+	return total
+}
+
+// PollOnce runs one iteration of the lcore loop on the calling goroutine and
+// returns the packets it received: the handler with no goroutine hand-off,
+// for single-goroutine benchmarks and tests (Switch.PollOnce's counterpart).
+// It is only for an App that is never started, and only one goroutine may
+// call it; an idle iteration flushes the loop's buffer cache.
+func (a *App) PollOnce() int {
+	if a.started.Load() {
+		panic("vnf: PollOnce on a started app")
+	}
+	if a.polled == nil {
+		a.polled = a.newCtx()
+	}
+	n := a.polled.poll()
+	if n == 0 {
+		a.polled.cache.Flush()
+	}
+	return n
 }
 
 // --- stock VNFs -------------------------------------------------------------

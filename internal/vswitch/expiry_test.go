@@ -4,8 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"ovshighway/internal/conntrack"
 	"ovshighway/internal/flow"
 	"ovshighway/internal/openflow"
+	"ovshighway/internal/pkt"
 )
 
 func TestFlowExpiredPredicate(t *testing.T) {
@@ -246,5 +248,56 @@ func TestFlowRemovedWireRoundTrip(t *testing.T) {
 	if fr.Cookie != 9 || fr.Reason != openflow.RemovedHardTimeout ||
 		fr.PacketCount != 100 || fr.ByteCount != 6400 || !fr.Match.Equal(m.Match) {
 		t.Fatalf("round trip = %+v", fr)
+	}
+}
+
+// TestDatapathStatsConntrackAfterCommit pins what the switch's snapshot sees
+// of an attached table: the owner's Probe tallies once it has committed them
+// (not before), summed over tables and laid out per shard, and the sweeper's
+// expiries.
+func TestDatapathStatsConntrackAfterCommit(t *testing.T) {
+	sw := New(Config{SweepInterval: time.Hour})
+	var tables [2]*conntrack.Table
+	key := conntrack.Key{Src: pkt.IP4{10, 0, 0, 1}, Dst: pkt.IP4{10, 0, 0, 2}, SrcPort: 5000, DstPort: 80, Proto: pkt.ProtoUDP}
+	for i := range tables {
+		ct, err := conntrack.New(conntrack.Config{Shards: 2, Capacity: 64, IdleTimeout: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw.AttachConntrack(ct)
+		defer sw.DetachConntrack(ct)
+		if ct.Insert(key, 1) == nil {
+			t.Fatal("insert failed")
+		}
+		tables[i] = ct
+	}
+	miss := key
+	miss.SrcPort++
+	for _, ct := range tables {
+		for i := 0; i < 3; i++ {
+			ct.Probe(&key, 2)
+		}
+		ct.Probe(&miss, 2)
+	}
+	if st := sw.DatapathStats().Conntrack; st.Hits != 0 || st.Misses != 0 || st.Live != 2 || st.Inserts != 2 {
+		t.Fatalf("before the owners commit: %+v", st)
+	}
+	for _, ct := range tables {
+		ct.Commit()
+	}
+	st := sw.DatapathStats()
+	if st.Conntrack.Hits != 6 || st.Conntrack.Misses != 2 {
+		t.Fatalf("after the owners commit: %+v, want 6 hits and 2 misses", st.Conntrack)
+	}
+	var sum conntrack.Stats
+	for _, ss := range st.ConntrackShards {
+		sum.Add(ss)
+	}
+	if len(st.ConntrackShards) != 2 || sum != st.Conntrack {
+		t.Fatalf("%d shards summing to %+v, total %+v", len(st.ConntrackShards), sum, st.Conntrack)
+	}
+	tables[0].Expire(time.Unix(0, 2).Add(2 * time.Second))
+	if st := sw.DatapathStats().Conntrack; st.Expired != 1 || st.Live != 1 {
+		t.Fatalf("after one table's sweep: %+v", st)
 	}
 }
