@@ -714,10 +714,11 @@ var stageSink uint64
 
 // BenchmarkStage times the per-packet stages of one vSwitch hop, each alone
 // on the calling goroutine (no switch thread, no hand-off), one packet per
-// op: parse the frame, pack its key straight from the frame and hash it in
-// the same pass (packframe — what the datapath calls), hash a stored key
-// (hash64 — what the control plane and the adapters call), probe the EMC in
-// place. They are the deterministic lines CI holds to the committed
+// op: the datapath's one header walk, which validates the frame, packs its
+// key and hashes it in the same pass (packframe), hash a stored key (hash64
+// — what the control plane and the adapters call), probe the EMC in place;
+// and the Parser the VNF apps decode with (parse), which the datapath no
+// longer runs. They are the deterministic lines CI holds to the committed
 // baseline (BENCH_base.txt), and they must not allocate. The hash seed is
 // pinned so every run probes the same EMC sets.
 func BenchmarkStage(b *testing.B) {
@@ -728,7 +729,6 @@ func BenchmarkStage(b *testing.B) {
 	emc := flow.NewEMC(8192)
 	spec := DefaultTrafficSpec()
 	frames := make([][]byte, stageFlows)
-	parsers := make([]pkt.Parser, stageFlows)
 	kps := make([]flow.Packed, stageFlows)
 	hashes := make([]uint64, stageFlows)
 	for i := range frames {
@@ -739,10 +739,7 @@ func BenchmarkStage(b *testing.B) {
 			b.Fatal(err)
 		}
 		frames[i] = raw[:n]
-		if err := parsers[i].Parse(frames[i]); err != nil {
-			b.Fatal(err)
-		}
-		hashes[i] = flow.PackFrame(&parsers[i], frames[i], 1, &kps[i])
+		hashes[i], _, _, _ = flow.PackFrame(frames[i], 1, &kps[i])
 		if _, evicted := emc.Put(&kps[i], hashes[i], f, gen, &alwaysDisplace); evicted {
 			b.Fatalf("flow %d evicted another from its EMC set: the working set must stay resident", i)
 		}
@@ -760,8 +757,11 @@ func BenchmarkStage(b *testing.B) {
 		var kp flow.Packed
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			j := i % stageFlows
-			stageSink += flow.PackFrame(&parsers[j], frames[j], 1, &kp)
+			h, _, _, ok := flow.PackFrame(frames[i%stageFlows], 1, &kp)
+			if !ok {
+				b.Fatal("frame rejected")
+			}
+			stageSink += h
 		}
 		stageSink += uint64(kp[31])
 	})
@@ -784,10 +784,10 @@ func BenchmarkStage(b *testing.B) {
 
 // processBatchRig is the fixture of the synchronous whole-hop benchmarks: a
 // switch that is never started, two ports forwarding to each other, and one
-// 32-frame burst of the default UDP frame.
-func processBatchRig() (sw *vswitch.Switch, pmdA, pmdB *dpdkr.PMD, bufs []*mempool.Buf) {
+// 32-frame burst of the default UDP frame from the returned pool.
+func processBatchRig() (sw *vswitch.Switch, pmdA, pmdB *dpdkr.PMD, pool *mempool.Pool, bufs []*mempool.Buf) {
 	sw = vswitch.New(vswitch.Config{SweepInterval: time.Hour})
-	pool := mempool.MustNew(mempool.Config{Capacity: 2048})
+	pool = mempool.MustNew(mempool.Config{Capacity: 2048})
 	portA, pmdA, _ := dpdkr.NewPort(1, "a", 1024)
 	portB, pmdB, _ := dpdkr.NewPort(2, "b", 1024)
 	sw.AddPort(portA)
@@ -802,29 +802,72 @@ func processBatchRig() (sw *vswitch.Switch, pmdA, pmdB *dpdkr.PMD, bufs []*mempo
 		bufs[i], _ = pool.Get()
 		bufs[i].SetBytes(raw[:n])
 	}
-	return sw, pmdA, pmdB, bufs
+	return sw, pmdA, pmdB, pool, bufs
 }
 
 // BenchmarkProcessBatch is BenchmarkPMDBatch/untagged without the two
 // goroutine hand-offs per burst: the switch is never started, and each op
 // pushes one 32-packet burst into the ingress ring, runs one forwarding-loop
-// iteration on the calling goroutine (Switch.PollOnce: receive, parse, key,
-// hash, EMC, group, output, flush) and takes the burst off the egress ring.
-// ns/op over 32 is what one hop costs a packet; 0 allocs/op, CI-gated.
+// iteration on the calling goroutine (Switch.PollOnce: receive, header walk
+// — validate, key, hash — EMC, group, output, flush) and takes the burst off
+// the egress ring. ns/pkt is what one hop costs a packet; 0 allocs/op,
+// CI-gated. udp is the default UDP frame. malformed mixes every hostile
+// shape the walk keys stricter than the parser (lying TotalLen, IHL < 5,
+// fragments, a half VLAN tag, a cut IPv6/UDP header), forwarded like any
+// frame, with four frames too short for Ethernet that the switch drops as
+// parse errors: the benchmark replaces those from the pool each op.
 func BenchmarkProcessBatch(b *testing.B) {
-	sw, pmdA, pmdB, bufs := processBatchRig()
-	burst := func() {
-		if pmdA.Tx(bufs) != len(bufs) || sw.PollOnce() != len(bufs) || pmdB.Rx(bufs) != len(bufs) {
-			b.Fatal("burst did not cross the switch whole")
+	b.Run("udp", func(b *testing.B) {
+		sw, pmdA, pmdB, _, bufs := processBatchRig()
+		benchProcessBatch(b, func() {
+			if pmdA.Tx(bufs) != len(bufs) || sw.PollOnce() != len(bufs) || pmdB.Rx(bufs) != len(bufs) {
+				b.Fatal("burst did not cross the switch whole")
+			}
+		}, len(bufs))
+	})
+	b.Run("malformed", func(b *testing.B) {
+		sw, pmdA, pmdB, pool, bufs := processBatchRig()
+		var shapes [][]byte
+		for _, f := range flowtest.HostileFrames(b) {
+			shapes = append(shapes, f)
 		}
-	}
-	burst() // warm the EMC entry and the accumulator capacities
+		const runts = 4 // frames too short for Ethernet, at the burst's tail
+		kept := len(bufs) - runts
+		runt := shapes[0][:pkt.EthernetLen-1]
+		for i, buf := range bufs {
+			f := runt
+			if i < kept {
+				f = shapes[i%len(shapes)]
+			}
+			buf.SetBytes(f)
+		}
+		benchProcessBatch(b, func() {
+			if pmdA.Tx(bufs) != len(bufs) || sw.PollOnce() != len(bufs) || pmdB.Rx(bufs[:kept]) != kept {
+				b.Fatal("burst did not cross the switch as shaped")
+			}
+			if pool.GetBatch(bufs[kept:]) != runts {
+				b.Fatal("pool exhausted")
+			}
+			for _, buf := range bufs[kept:] {
+				buf.SetBytes(runt)
+			}
+		}, len(bufs))
+		if d := sw.DatapathStats(); d.ParseErrors == 0 {
+			b.Fatal("no frame was dropped as a parse error")
+		}
+	})
+}
+
+// benchProcessBatch times burst, which moves pkts frames across the switch,
+// after one warm-up call that fills the EMC and the accumulator capacities.
+func benchProcessBatch(b *testing.B, burst func(), pkts int) {
+	burst()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		burst()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(bufs)), "ns/pkt")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pkts), "ns/pkt")
 }
 
 // BenchmarkProcessBatchMiss is BenchmarkProcessBatch on a working set no
@@ -838,7 +881,7 @@ func BenchmarkProcessBatch(b *testing.B) {
 // 0 allocs/op, CI-gated.
 func BenchmarkProcessBatchMiss(b *testing.B) {
 	const flows = 1 << 16
-	sw, pmdA, pmdB, bufs := processBatchRig()
+	sw, pmdA, pmdB, _, bufs := processBatchRig()
 	next := 0
 	burst := func() {
 		for _, buf := range bufs {

@@ -20,7 +20,6 @@ import (
 
 	"ovshighway/internal/flow"
 	"ovshighway/internal/mempool"
-	"ovshighway/internal/pkt"
 	"ovshighway/internal/ring"
 	"ovshighway/internal/stats"
 )
@@ -58,10 +57,6 @@ type PMD struct {
 
 	rxNormal *Ring   // host → guest
 	txNormal []*Ring // guest → host, one ring per RSS queue
-
-	// rssParser classifies outgoing frames onto queues when the port has
-	// more than one (owned by the lcore goroutine, like the rings).
-	rssParser pkt.Parser
 
 	txBypass atomic.Pointer[BypassHalf]
 	rxBypass atomic.Pointer[BypassHalf]
@@ -351,10 +346,10 @@ func (d *PMD) tx(bufs []*mempool.Buf) int {
 	n := 0
 	for _, b := range bufs {
 		q := 0
-		if h, ok := flow.RSSHash(&d.rssParser, b.Bytes()); ok {
+		if h, ok := flow.RSSHash(b.Bytes()); ok {
 			q = int(h % uint32(len(d.txNormal)))
 		}
-		if d.txNormal[q].Enqueue(bufs[n : n+1]) == 0 {
+		if d.txNormal[q].Enqueue(bufs[n:n+1]) == 0 {
 			break
 		}
 		n++

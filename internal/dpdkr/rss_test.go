@@ -45,12 +45,11 @@ func testGuestTxRSSFanOut(t *testing.T) {
 		t.Fatalf("NumRxQueues = %d, want %d", got, queues)
 	}
 
-	var parser pkt.Parser
 	expect := make(map[*mempool.Buf]int)
 	perQueue := make([]int, queues)
 	for fl := 0; fl < 64; fl++ {
 		frame := buildFlowFrame(t, uint16(5000+fl))
-		h, ok := flow.RSSHash(&parser, frame)
+		h, ok := flow.RSSHash(frame)
 		if !ok {
 			t.Fatalf("flow %d: frame did not parse", fl)
 		}
@@ -94,7 +93,7 @@ func testGuestTxRSSFanOut(t *testing.T) {
 
 	// Per-flow stability: the same flow re-sent lands on the same queue.
 	frame := buildFlowFrame(t, 5007)
-	h, _ := flow.RSSHash(&parser, frame)
+	h, _ := flow.RSSHash(frame)
 	want := int(h % queues)
 	for i := 0; i < 3; i++ {
 		b, err := pool.Get()
@@ -126,12 +125,11 @@ func TestGuestTxRSSPrefixOnFullQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var parser pkt.Parser
 	// Find a flow that hashes to queue 0 and saturate that ring.
 	var frame []byte
 	for fp := uint16(5000); ; fp++ {
 		f := buildFlowFrame(t, fp)
-		if h, ok := flow.RSSHash(&parser, f); ok && h%queues == 0 {
+		if h, ok := flow.RSSHash(f); ok && h%queues == 0 {
 			frame = f
 			break
 		}

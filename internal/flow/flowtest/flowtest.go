@@ -104,7 +104,8 @@ func CheckSpread(tb testing.TB, what string, loads []int) {
 
 // SeedFrames are the shapes every frame walk in the tree must agree with the
 // parser on (flow.PackFrame, pkt.Tuple): every layer the parser decodes,
-// tagged and untagged, and an IPv4 header with options.
+// tagged and untagged, and an IPv4 header with options. HostileFrames are
+// the malformed ones.
 func SeedFrames(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	macA, macB := pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}
@@ -161,5 +162,34 @@ func SeedFrames(tb testing.TB) map[string][]byte {
 		"ihl6-udp": opts,
 		"ipv6-udp": ipv6(pkt.ProtoUDP, udp[l3+pkt.IPv4MinLen:l3+pkt.IPv4MinLen+pkt.UDPLen]),
 		"ipv6-tcp": ipv6(pkt.ProtoTCP, tcp[l3+pkt.IPv4MinLen:]),
+	}
+}
+
+// HostileFrames are the shapes the frame walks (flow.PackFrame, pkt.Tuple)
+// are documented to be stricter than the parser on, and the malformed ones
+// around them, cut from the UDP seed frame: a first fragment (offset 0, MF
+// set — its L4 header is real), a later and a last fragment (payload where
+// the ports would be), TotalLen lying in both directions, an IHL below the
+// minimum header, an 802.1Q tag cut in half and an IPv6 frame cut inside its
+// UDP header.
+func HostileFrames(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	seeds := SeedFrames(tb)
+	udp := seeds["udp"]
+	mut := func(off int, v uint16) []byte {
+		f := append([]byte(nil), udp...)
+		binary.BigEndian.PutUint16(f[pkt.EthernetLen+off:], v)
+		return f
+	}
+	return map[string][]byte{
+		"first-fragment":  mut(6, 0x2000),
+		"later-fragment":  mut(6, 0x2000|185),
+		"last-fragment":   mut(6, 185),
+		"totlen-too-long": mut(2, uint16(len(udp)-pkt.EthernetLen+1)),
+		"totlen-lt-ihl":   mut(2, pkt.IPv4MinLen-1),
+		"totlen-cuts-udp": mut(2, pkt.IPv4MinLen+pkt.UDPLen-1),
+		"ihl4":            mut(0, 0x4400|uint16(udp[pkt.EthernetLen+1])),
+		"vlan-truncated":  seeds["vlan-udp"][:pkt.EthernetLen+pkt.VLANLen/2],
+		"ipv6-udp-cut-l4": seeds["ipv6-udp"][:pkt.EthernetLen+pkt.IPv6Len+pkt.UDPLen-1],
 	}
 }

@@ -118,7 +118,6 @@ func TestRSSHashSpreadsQueues(t *testing.T) {
 	const queues = 4
 	raw := make([]byte, 128)
 	flowtest.ForEachSeed(t, func(t *testing.T) {
-		var parser pkt.Parser
 		loads := make([]int, queues)
 		for fl := 0; fl < 1024; fl++ {
 			n, err := pkt.BuildUDP(raw, pkt.UDPSpec{
@@ -129,7 +128,7 @@ func TestRSSHashSpreadsQueues(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, ok := flow.RSSHash(&parser, raw[:n])
+			h, ok := flow.RSSHash(raw[:n])
 			if !ok {
 				t.Fatalf("flow %d: frame did not parse", fl)
 			}

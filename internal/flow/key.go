@@ -178,8 +178,9 @@ func HashWords(w0, w1 uint64) uint64 {
 }
 
 // ExtractKey builds a classifier key from a parsed packet and its ingress
-// port: the control-plane and test constructor. The datapath packs straight
-// from the frame (PackFrame). It allocates nothing.
+// port: the control-plane and test constructor, and PackFrame's oracle. The
+// datapath walks and packs straight from the frame (PackFrame). It
+// allocates nothing.
 func ExtractKey(p *pkt.Parser, inPort uint32) Key {
 	k := Key{InPort: inPort}
 	if !p.Decoded.Has(pkt.LayerEthernet) {
@@ -209,45 +210,90 @@ func ExtractKey(p *pkt.Parser, inPort uint32) Key {
 	return k
 }
 
-// PackFrame writes the packed classifier key of frame, as it arrived on
-// inPort, into out and returns its Hash64: the datapath's form of
-// ExtractKey(p, inPort).Pack() followed by Hash64(), byte-for-byte and
-// bit-for-bit equal to them on every frame. The key is assembled as its five
-// little-endian words in registers — header fields read at fixed offsets
-// gated by p.Decoded, shifted into place — stored with five word stores and
-// hashed from those same registers, so nothing reloads the bytes just
-// written. p must hold the result of p.Parse(frame): the parser has
-// validated every length PackFrame relies on. Allocates nothing.
-func PackFrame(p *pkt.Parser, frame []byte, inPort uint32, out *Packed) uint64 {
-	d := p.Decoded
+// PackFrame is the datapath's one header walk: it validates frame as it
+// arrived on inPort, writes its packed classifier key into out and returns
+// the key's Hash64, the layers it decoded and the offset of the L3 header
+// (after the 802.1Q tag when there is one). The walk follows OVS's
+// miniflow_extract in the shape of a length-checked parser — no header is
+// read before the bytes under it are known to be there:
+//
+//   - Ethernet, then one 802.1Q tag: VID and the encapsulated EtherType.
+//   - IPv4 is keyed (addresses, protocol, DSCP) only when its header holds
+//     up: version 4, IHL ≥ 5, and TotalLen at least the header and at most
+//     the frame. A header that fails is keyed on L2 and EtherType alone,
+//     with no LayerIPv4, so no action writes through it.
+//   - A non-first IPv4 fragment (offset ≠ 0, OVS nw_frag=later) has no L4
+//     header: it is keyed on L2+L3 with zero ports and no L4 layer bit, so
+//     the later fragments of one datagram share one key whatever their
+//     payload. A first fragment keys its real ports.
+//   - IPv6: the fixed header (nothing of it is keyed), then UDP/TCP ports.
+//   - UDP, TCP (data offset inside the segment) and ICMP inside the IPv4
+//     TotalLen or the IPv6 payload; ICMP keys zero ports.
+//
+// Everywhere else the key and layers equal ExtractKey(p, inPort).Pack() and
+// p.Decoded after p.Parse(frame); those two shapes are where the walk is
+// stricter than the parser, which clamps a lying TotalLen and reads a later
+// fragment's payload as ports (FuzzPackFrame holds both contracts). ok is
+// false only for a frame too short for an Ethernet header; out then holds
+// the in-port-only key ExtractKey gives a frame Parse rejects.
+//
+// The key is assembled as its five little-endian words in registers, stored
+// with five word stores and hashed from those same registers, so nothing
+// reloads the bytes just written. Allocates nothing.
+func PackFrame(frame []byte, inPort uint32, out *Packed) (hash uint64, layers pkt.Layers, l3 int, ok bool) {
 	w0 := uint64(bits.ReverseBytes32(inPort)) // bytes 0-3: in-port, big-endian
 	var w1, w2, w3, w4 uint64
-	if d.Has(pkt.LayerEthernet) {
+	l3 = pkt.EthernetLen
+	if len(frame) >= pkt.EthernetLen {
+		ok = true
+		layers = pkt.LayerEthernet
+		etherType := binary.BigEndian.Uint16(frame[12:14])
+		if etherType == pkt.EtherTypeVLAN && len(frame) >= pkt.EthernetLen+pkt.VLANLen {
+			// bytes 18-19: VID, PCP/DEI masked off
+			w2 = uint64(binary.LittleEndian.Uint16(frame[14:16])&0xff0f) << 16
+			etherType = binary.BigEndian.Uint16(frame[16:18])
+			l3 += pkt.VLANLen
+			layers |= pkt.LayerVLAN
+		}
+		// bytes 16-17: EtherType, the encapsulated one when tagged
+		w2 |= uint64(bits.ReverseBytes16(etherType))
+		switch ip := frame[l3:]; etherType {
+		case pkt.EtherTypeIPv4:
+			if len(ip) < pkt.IPv4MinLen {
+				break
+			}
+			ihl := int(ip[0]&0x0f) * 4
+			total := int(binary.BigEndian.Uint16(ip[2:4]))
+			if ip[0]>>4 != 4 || ihl < pkt.IPv4MinLen || total < ihl || total > len(ip) {
+				break
+			}
+			layers |= pkt.LayerIPv4
+			addrs := binary.LittleEndian.Uint64(ip[12:20])
+			w2 |= addrs << 32                                         // bytes 20-23: src address
+			w3 = addrs>>32 | uint64(ip[9])<<32 | uint64(ip[1]>>2)<<40 // 24-27: dst address; 28: proto; 29: DSCP
+			if binary.BigEndian.Uint16(ip[6:8])&0x1fff == 0 {
+				l4, ports := transport(ip[9], ip[ihl:total])
+				layers |= l4
+				w3 |= ports << 48 // bytes 30-31: source port
+				w4 = ports >> 16  // bytes 32-33: destination port; 34-35 stay zero
+			}
+		case pkt.EtherTypeIPv6:
+			if len(ip) >= pkt.IPv6Len && ip[0]>>4 == 6 {
+				l4, ports := transport(ip[6], ip[pkt.IPv6Len:])
+				layers |= pkt.LayerIPv6 | l4
+				w3 = ports << 48
+				w4 = ports >> 16
+			}
+		case pkt.EtherTypeARP:
+			if len(ip) >= pkt.ARPLen {
+				layers |= pkt.LayerARP
+			}
+		}
+		// The MACs last: nothing above waits on them.
 		dst := binary.LittleEndian.Uint64(frame[0:8])  // dst MAC, src MAC[0:2]
 		src := binary.LittleEndian.Uint64(frame[4:12]) // dst MAC[4:6], src MAC
 		w0 |= (src << 16) &^ 0xffffffff                // bytes 4-7: src MAC[0:4]
 		w1 = src>>48 | dst<<16                         // bytes 8-9: src MAC[4:6]; 10-15: dst MAC
-		l3 := pkt.EthernetLen
-		if d.Has(pkt.LayerVLAN) {
-			// bytes 18-19: VID, PCP/DEI masked off
-			w2 = uint64(binary.LittleEndian.Uint16(frame[14:16])&0xff0f) << 16
-			l3 += pkt.VLANLen
-		}
-		// bytes 16-17: EtherType, the encapsulated one when tagged
-		w2 |= uint64(binary.LittleEndian.Uint16(frame[l3-2 : l3]))
-		l4 := l3 + pkt.IPv6Len
-		if d.Has(pkt.LayerIPv4) {
-			ip := frame[l3 : l3+pkt.IPv4MinLen]
-			addrs := binary.LittleEndian.Uint64(ip[12:20])
-			w2 |= addrs << 32                                         // bytes 20-23: src address
-			w3 = addrs>>32 | uint64(ip[9])<<32 | uint64(ip[1]>>2)<<40 // 24-27: dst address; 28: proto; 29: DSCP
-			l4 = l3 + int(ip[0]&0x0f)*4
-		}
-		if d&(pkt.LayerUDP|pkt.LayerTCP) != 0 {
-			ports := uint64(binary.LittleEndian.Uint32(frame[l4 : l4+4]))
-			w3 |= ports << 48 // bytes 30-31: source port
-			w4 = ports >> 16  // bytes 32-33: destination port; 34-35 stay zero
-		}
 	}
 	binary.LittleEndian.PutUint64(out[0:8], w0)
 	binary.LittleEndian.PutUint64(out[8:16], w1)
@@ -261,23 +307,44 @@ func PackFrame(p *pkt.Parser, frame []byte, inPort uint32, out *Packed) uint64 {
 	a := mix(w0^k[0], w1^k[1])
 	b := mix(w2^k[2], w3^k[3])
 	c := mix(w4^k[4], k[5])
-	return mix(a^c, b^k[6])
+	return mix(a^c, b^k[6]), layers, l3, ok
+}
+
+// transport decodes the UDP, TCP or ICMP header at the start of seg, the
+// bytes its L3 header bounds, and returns the layer bit and the two ports as
+// they lie in the frame (source port in the low 16 bits, byte-swapped), or
+// zero ports when the header carries none or does not fit.
+func transport(proto uint8, seg []byte) (pkt.Layers, uint64) {
+	// UDP first: an if chain keeps the order; a switch would test ICMP first.
+	if proto == pkt.ProtoUDP {
+		if len(seg) >= pkt.UDPLen {
+			return pkt.LayerUDP, uint64(binary.LittleEndian.Uint32(seg[0:4]))
+		}
+	} else if proto == pkt.ProtoTCP {
+		if len(seg) >= pkt.TCPMinLen {
+			if off := int(seg[12]>>4) * 4; off >= pkt.TCPMinLen && off <= len(seg) {
+				return pkt.LayerTCP, uint64(binary.LittleEndian.Uint32(seg[0:4]))
+			}
+		}
+	} else if proto == pkt.ProtoICMP && len(seg) >= pkt.ICMPLen {
+		return pkt.LayerICMP, 0
+	}
+	return 0, 0
 }
 
 // RSSHash computes a frame's receive-side-scaling hash the way the
-// simulated multi-queue ports' "hardware" does: parse, pack the header key,
-// and take the high half of its Hash64 — the half the SMC check and the ECMP
-// path pinning use, so the queue pick is independent of the EMC/SMC index.
-// The ingress-port contribution is fixed at zero because RSS runs before the
-// switch has attributed the frame to a port, and a queue choice must not
-// depend on it. ok=false marks frames the parser rejects: they have no flow
-// identity, and callers place them on queue 0. Allocates nothing.
-func RSSHash(p *pkt.Parser, frame []byte) (h uint32, ok bool) {
-	if err := p.Parse(frame); err != nil {
-		return 0, false
-	}
+// simulated multi-queue ports' "hardware" does: the datapath's header walk
+// (PackFrame), and the high half of the key's Hash64 — the half the SMC
+// check and the ECMP path pinning use, so the queue pick is independent of
+// the EMC/SMC index. The ingress-port contribution is fixed at zero because
+// RSS runs before the switch has attributed the frame to a port, and a queue
+// choice must not depend on it. ok=false marks frames too short for an
+// Ethernet header: they have no flow identity, and callers place them on
+// queue 0. Allocates nothing.
+func RSSHash(frame []byte) (h uint32, ok bool) {
 	var kp Packed
-	return uint32(PackFrame(p, frame, 0, &kp) >> 32), true
+	hash, _, _, ok := PackFrame(frame, 0, &kp)
+	return uint32(hash >> 32), ok
 }
 
 // Match pairs a key with a mask: the OpenFlow match of a flow entry.

@@ -150,7 +150,7 @@ func BuildTCP(dst []byte, s TCPSpec) (int, error) {
 // The rewrite is in place and allocation-free.
 func PushVlan(frame []byte, vid uint16, pcp uint8) error {
 	if len(frame) < VLANLen+EthernetLen {
-		return fmt.Errorf("pkt: PushVlan: frame %d bytes, need %d", len(frame), VLANLen+EthernetLen)
+		return ErrTruncated
 	}
 	copy(frame[0:12], frame[VLANLen:VLANLen+12])
 	be.PutUint16(frame[12:14], EtherTypeVLAN)
@@ -165,10 +165,10 @@ func PushVlan(frame []byte, vid uint16, pcp uint8) error {
 // frame is not tagged. Allocation-free on success.
 func PopVlan(frame []byte) (uint16, error) {
 	if len(frame) < EthernetLen+VLANLen {
-		return 0, fmt.Errorf("pkt: PopVlan: frame %d bytes, need %d", len(frame), EthernetLen+VLANLen)
+		return 0, ErrTruncated
 	}
 	if be.Uint16(frame[12:14]) != EtherTypeVLAN {
-		return 0, fmt.Errorf("pkt: PopVlan: frame not 802.1Q tagged (0x%04x)", be.Uint16(frame[12:14]))
+		return 0, ErrNotTagged
 	}
 	vid := be.Uint16(frame[14:16]) & 0x0fff
 	copy(frame[VLANLen:VLANLen+12], frame[0:12])

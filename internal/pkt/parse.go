@@ -19,9 +19,11 @@ const (
 func (ls Layers) Has(l Layers) bool { return ls&l == l }
 
 // Parser decodes a frame in a single pass into preallocated views. It is the
-// gopacket DecodingLayerParser analogue: reuse one Parser per PMD loop and no
-// per-packet allocation occurs. A Parser must not be shared across
-// goroutines.
+// gopacket DecodingLayerParser analogue: reuse one Parser per loop and no
+// per-packet allocation occurs. The VNF apps and the control plane decode
+// with it; the vSwitch datapath does not — it walks each frame once with
+// flow.PackFrame, which is stricter on later fragments and lying TotalLens.
+// A Parser must not be shared across goroutines.
 type Parser struct {
 	Decoded Layers
 
@@ -40,8 +42,8 @@ type Parser struct {
 
 // Parse decodes frame starting at the Ethernet layer. It decodes as deep as
 // the frame allows and stops silently at truncation or unknown protocols;
-// Decoded records how far it got. The error is non-nil only when the frame
-// is too short to carry an Ethernet header at all.
+// Decoded records how far it got. The error is non-nil — ErrTruncated — only
+// when the frame is too short to carry an Ethernet header at all.
 func (p *Parser) Parse(frame []byte) error {
 	p.Decoded = 0
 	p.L4Payload = nil

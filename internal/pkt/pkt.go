@@ -10,11 +10,26 @@ package pkt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
 // be is the network byte order used by every header codec in this package.
 var be = binary.BigEndian
+
+// The decode errors are package-level values, not formatted per frame: a
+// flood of malformed frames must not allocate one error each.
+var (
+	// ErrTruncated: the bytes end before the header does.
+	ErrTruncated = errors.New("pkt: header truncated")
+	// ErrVersion: an IP header whose version field is not its own.
+	ErrVersion = errors.New("pkt: wrong IP version")
+	// ErrHeaderLen: an IPv4 IHL or a TCP data offset below the minimum
+	// header or beyond the bytes at hand.
+	ErrHeaderLen = errors.New("pkt: bad header length")
+	// ErrNotTagged: a VLAN pop on a frame without an 802.1Q tag.
+	ErrNotTagged = errors.New("pkt: frame not 802.1Q tagged")
+)
 
 // EtherType values understood by the parser.
 const (
@@ -98,7 +113,7 @@ type Ethernet struct {
 // DecodeEthernet wraps b as an Ethernet header view.
 func DecodeEthernet(b []byte) (Ethernet, error) {
 	if len(b) < EthernetLen {
-		return Ethernet{}, fmt.Errorf("pkt: ethernet: %d bytes, need %d", len(b), EthernetLen)
+		return Ethernet{}, ErrTruncated
 	}
 	return Ethernet{raw: b}, nil
 }
@@ -132,7 +147,7 @@ type VLAN struct {
 // DecodeVLAN wraps b (starting at the TPID) as a VLAN tag view.
 func DecodeVLAN(b []byte) (VLAN, error) {
 	if len(b) < VLANLen {
-		return VLAN{}, fmt.Errorf("pkt: vlan: %d bytes, need %d", len(b), VLANLen)
+		return VLAN{}, ErrTruncated
 	}
 	return VLAN{raw: b}, nil
 }
@@ -177,7 +192,7 @@ const (
 // DecodeARP wraps b as an ARP view.
 func DecodeARP(b []byte) (ARP, error) {
 	if len(b) < ARPLen {
-		return ARP{}, fmt.Errorf("pkt: arp: %d bytes, need %d", len(b), ARPLen)
+		return ARP{}, ErrTruncated
 	}
 	return ARP{raw: b}, nil
 }
@@ -205,14 +220,14 @@ type IPv4 struct {
 // DecodeIPv4 wraps b as an IPv4 view, validating version and IHL.
 func DecodeIPv4(b []byte) (IPv4, error) {
 	if len(b) < IPv4MinLen {
-		return IPv4{}, fmt.Errorf("pkt: ipv4: %d bytes, need %d", len(b), IPv4MinLen)
+		return IPv4{}, ErrTruncated
 	}
 	if b[0]>>4 != 4 {
-		return IPv4{}, fmt.Errorf("pkt: ipv4: version %d", b[0]>>4)
+		return IPv4{}, ErrVersion
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < IPv4MinLen || ihl > len(b) {
-		return IPv4{}, fmt.Errorf("pkt: ipv4: bad ihl %d", ihl)
+		return IPv4{}, ErrHeaderLen
 	}
 	return IPv4{raw: b}, nil
 }
@@ -281,10 +296,10 @@ type IPv6 struct {
 // DecodeIPv6 wraps b as an IPv6 view, validating the version.
 func DecodeIPv6(b []byte) (IPv6, error) {
 	if len(b) < IPv6Len {
-		return IPv6{}, fmt.Errorf("pkt: ipv6: %d bytes, need %d", len(b), IPv6Len)
+		return IPv6{}, ErrTruncated
 	}
 	if b[0]>>4 != 6 {
-		return IPv6{}, fmt.Errorf("pkt: ipv6: version %d", b[0]>>4)
+		return IPv6{}, ErrVersion
 	}
 	return IPv6{raw: b}, nil
 }
@@ -315,7 +330,7 @@ type UDP struct {
 // DecodeUDP wraps b as a UDP view.
 func DecodeUDP(b []byte) (UDP, error) {
 	if len(b) < UDPLen {
-		return UDP{}, fmt.Errorf("pkt: udp: %d bytes, need %d", len(b), UDPLen)
+		return UDP{}, ErrTruncated
 	}
 	return UDP{raw: b}, nil
 }
@@ -372,11 +387,11 @@ const (
 // DecodeTCP wraps b as a TCP view, validating the data offset.
 func DecodeTCP(b []byte) (TCP, error) {
 	if len(b) < TCPMinLen {
-		return TCP{}, fmt.Errorf("pkt: tcp: %d bytes, need %d", len(b), TCPMinLen)
+		return TCP{}, ErrTruncated
 	}
 	off := int(b[12]>>4) * 4
 	if off < TCPMinLen || off > len(b) {
-		return TCP{}, fmt.Errorf("pkt: tcp: bad data offset %d", off)
+		return TCP{}, ErrHeaderLen
 	}
 	return TCP{raw: b}, nil
 }
@@ -434,7 +449,7 @@ const (
 // DecodeICMP wraps b as an ICMP view.
 func DecodeICMP(b []byte) (ICMP, error) {
 	if len(b) < ICMPLen {
-		return ICMP{}, fmt.Errorf("pkt: icmp: %d bytes, need %d", len(b), ICMPLen)
+		return ICMP{}, ErrTruncated
 	}
 	return ICMP{raw: b}, nil
 }

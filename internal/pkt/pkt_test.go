@@ -2,6 +2,7 @@ package pkt
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -317,6 +318,37 @@ func TestDecodeIPv4Validation(t *testing.T) {
 	b[0] = 0x42 // IHL 2*4=8 < 20
 	if _, err := DecodeIPv4(b); err == nil {
 		t.Error("undersized IHL accepted")
+	}
+}
+
+// TestDecodeErrorsAreSentinels: every decode failure is one of the
+// package's error values, so a flood of malformed frames allocates nothing.
+func TestDecodeErrorsAreSentinels(t *testing.T) {
+	ip := make([]byte, 20)
+	var p Parser
+	frame, ip6, tcp, untagged := make([]byte, EthernetLen-1), make([]byte, IPv6Len), make([]byte, TCPMinLen), make([]byte, EthernetLen+VLANLen)
+	cases := []struct {
+		name   string
+		decode func() error
+		want   error
+	}{
+		{"short frame", func() error { return p.Parse(frame) }, ErrTruncated},
+		{"short vlan", func() error { _, err := DecodeVLAN(ip[:3]); return err }, ErrTruncated},
+		{"short ipv4", func() error { _, err := DecodeIPv4(ip[:19]); return err }, ErrTruncated},
+		{"ipv4 version", func() error { ip[0] = 0x65; _, err := DecodeIPv4(ip); return err }, ErrVersion},
+		{"ipv4 ihl", func() error { ip[0] = 0x44; _, err := DecodeIPv4(ip); return err }, ErrHeaderLen},
+		{"ipv6 version", func() error { _, err := DecodeIPv6(ip6); return err }, ErrVersion},
+		{"tcp offset", func() error { _, err := DecodeTCP(tcp); return err }, ErrHeaderLen},
+		{"short udp", func() error { _, err := DecodeUDP(ip[:7]); return err }, ErrTruncated},
+		{"pop untagged", func() error { _, err := PopVlan(untagged); return err }, ErrNotTagged},
+	}
+	for _, c := range cases {
+		if err := c.decode(); !errors.Is(err, c.want) {
+			t.Errorf("%s: error %v, want %v", c.name, err, c.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = c.decode() }); n != 0 {
+			t.Errorf("%s: %v allocations per failed decode", c.name, n)
+		}
 	}
 }
 

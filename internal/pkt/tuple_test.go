@@ -56,27 +56,6 @@ func checkTuple(t *testing.T, frame []byte) {
 	}
 }
 
-// hostileFrames are the IPv4 shapes Tuple is stricter than the parser on,
-// cut from the UDP seed frame: a first fragment (offset 0, MF set — its L4
-// header is real), a later fragment (payload where the ports would be), and
-// TotalLen lying in both directions.
-func hostileFrames(tb testing.TB) map[string][]byte {
-	udp := flowtest.SeedFrames(tb)["udp"]
-	mut := func(off int, v uint16) []byte {
-		f := append([]byte(nil), udp...)
-		be.PutUint16(f[pkt.EthernetLen+off:], v)
-		return f
-	}
-	return map[string][]byte{
-		"first-fragment":  mut(6, 0x2000),
-		"later-fragment":  mut(6, 0x2000|185),
-		"last-fragment":   mut(6, 185),
-		"totlen-too-long": mut(2, uint16(len(udp)-pkt.EthernetLen+1)),
-		"totlen-lt-ihl":   mut(2, pkt.IPv4MinLen-1),
-		"totlen-cuts-udp": mut(2, pkt.IPv4MinLen+pkt.UDPLen-1),
-	}
-}
-
 // TestTupleSeeds runs every seed frame and every hostile frame at every
 // truncation length, and pins which of them carry a tuple at full length.
 func TestTupleSeeds(t *testing.T) {
@@ -85,7 +64,7 @@ func TestTupleSeeds(t *testing.T) {
 		"first-fragment": true,
 	}
 	frames := flowtest.SeedFrames(t)
-	for name, f := range hostileFrames(t) {
+	for name, f := range flowtest.HostileFrames(t) {
 		frames[name] = f
 	}
 	for name, frame := range frames {
@@ -129,7 +108,7 @@ func TestQuickTupleMatchesParser(t *testing.T) {
 	for _, f := range flowtest.SeedFrames(t) {
 		seeds = append(seeds, f)
 	}
-	for _, f := range hostileFrames(t) {
+	for _, f := range flowtest.HostileFrames(t) {
 		seeds = append(seeds, f)
 	}
 	f := func(seed int64) bool {
@@ -143,11 +122,11 @@ func TestQuickTupleMatchesParser(t *testing.T) {
 }
 
 // FuzzTuple is the native fuzz target of the stateful VNFs' frame walk. Its
-// seeds are the shapes above plus every truncation length of the 64-byte
-// frames.
+// seeds are the seed and hostile shapes (flowtest) plus every truncation
+// length of the 64-byte ones.
 func FuzzTuple(f *testing.F) {
 	frames := flowtest.SeedFrames(f)
-	for name, frame := range hostileFrames(f) {
+	for name, frame := range flowtest.HostileFrames(f) {
 		frames[name] = frame
 	}
 	for _, frame := range frames {

@@ -307,8 +307,7 @@ func TestMoveQueueCacheStaleness(t *testing.T) {
 	}
 	// The template flow rides one specific RSS queue; find it so the moves
 	// target the queue the flow actually uses.
-	var parser pkt.Parser
-	h, ok := flow.RSSHash(&parser, template)
+	h, ok := flow.RSSHash(template)
 	if !ok {
 		t.Fatal("template frame did not parse")
 	}

@@ -38,8 +38,8 @@ func (s *Switch) InjectPacketOut(inPort uint32, actions flow.Actions, data []byt
 	}
 	b.Port = inPort
 
-	var parser pkt.Parser
-	_ = parser.Parse(b.Bytes())
+	var kp flow.Packed
+	_, layers, l3, _ := flow.PackFrame(b.Bytes(), inPort, &kp)
 	snap := s.portsSnap.Load()
 	moved := false
 	for _, a := range actions {
@@ -69,23 +69,14 @@ func (s *Switch) InjectPacketOut(inPort uint32, actions flow.Actions, data []byt
 			default:
 				s.ReleasePacketIn(ev)
 			}
-		case flow.ActSetEthSrc:
-			if !moved && parser.Decoded.Has(pkt.LayerEthernet) {
-				parser.Eth.SetSrc(a.MAC)
-			}
-		case flow.ActSetEthDst:
-			if !moved && parser.Decoded.Has(pkt.LayerEthernet) {
-				parser.Eth.SetDst(a.MAC)
+		case flow.ActSetEthSrc, flow.ActSetEthDst:
+			if !moved && layers.Has(pkt.LayerEthernet) {
+				setEth(b.Bytes(), a)
 			}
 		case flow.ActDecTTL:
-			if !moved && parser.Decoded.Has(pkt.LayerIPv4) {
-				ttl := parser.IPv4.TTL()
-				if ttl <= 1 {
-					b.Free()
-					return nil
-				}
-				parser.IPv4.SetTTL(ttl - 1)
-				parser.IPv4.UpdateChecksum()
+			if !moved && layers.Has(pkt.LayerIPv4) && !decTTL(b.Bytes(), l3) {
+				b.Free()
+				return nil
 			}
 		case flow.ActDrop:
 			if !moved {

@@ -11,42 +11,21 @@ import (
 )
 
 // pktMeta is one packet's slot in the per-thread scratch array filled by the
-// parse phase of the batched pipeline. It carries everything the action
-// phase needs so the shared parser is never re-consulted per packet: the
-// packed key and its 64-bit hash (returned by the one pack pass: all of it
-// signs the EMC entry, the low half indexes the EMC and SMC, the high half
-// pins the ECMP path), the resolved flow, and the header views that mutating
-// actions write through. next chains packets of the same flow group within
-// the batch (-1 terminates).
+// walk phase of the batched pipeline. It carries everything the action
+// phase needs so no header is re-walked per packet: the packed key and its
+// 64-bit hash (returned by the one header walk: all of it signs the EMC
+// entry, the low half indexes the EMC and SMC, the high half pins the ECMP
+// path), the resolved flow, the layers the walk decoded and the offset of
+// the L3 header, which the mutating actions re-slice the frame at. next
+// chains packets of the same flow group within the batch (-1 terminates).
 type pktMeta struct {
 	buf     *mempool.Buf
 	kp      flow.Packed
 	hash    uint64
 	f       *flow.Flow
-	decoded pkt.Layers
-	eth     pkt.Ethernet
-	ipv4    pkt.IPv4
 	next    int32
-}
-
-// refreshViews re-derives the cached header views after an action moved the
-// packet head (VLAN push/pop). The decode calls only wrap existing bytes —
-// no allocation on the success path — so VLAN actions stay inside the
-// zero-alloc budget of the batched pipeline.
-func (m *pktMeta) refreshViews() {
-	frame := m.buf.Bytes()
-	if eth, err := pkt.DecodeEthernet(frame); err == nil {
-		m.eth = eth
-	}
-	if m.decoded.Has(pkt.LayerIPv4) {
-		off := pkt.EthernetLen
-		if m.decoded.Has(pkt.LayerVLAN) {
-			off += pkt.VLANLen
-		}
-		if ip, err := pkt.DecodeIPv4(frame[off:]); err == nil {
-			m.ipv4 = ip
-		}
-	}
+	decoded pkt.Layers
+	l3      uint16
 }
 
 // flowGroup is one resolved flow within a batch plus the chain of packets
@@ -96,14 +75,16 @@ type pmdThread struct {
 	baseNano  int64
 	tick      int64
 
-	emc    *flow.EMC
-	smc    *flow.SMC
-	parser pkt.Parser
+	emc *flow.EMC
+	smc *flow.SMC
 	// admit is the emc-insert-inv-prob rule both cache tiers admit a
 	// classifier-resolved key under.
 	admit flow.Admission
 
 	rxBatch []*mempool.Buf
+	// touched keeps the sum of the bytes the touch pass of processBatch
+	// loaded, so the compiler cannot drop the loads.
+	touched uint64
 	metas   []pktMeta
 	groups  []flowGroup
 	// missIdx lists the meta indexes of this batch's cache misses, so a
@@ -256,9 +237,10 @@ func (p *pmdThread) iterate() int {
 
 // processBatch runs one input burst through the two-phase pipeline:
 //
-//	phase 1 parses and classifies every packet into the scratch array
-//	(EMC, then SMC, then within-batch miss dedup, then the masked
-//	classifier — all on the already-packed key);
+//	phase 1 walks every frame's headers once (flow.PackFrame: validate,
+//	pack the key, hash it) and classifies it into the scratch array (EMC,
+//	then SMC, then within-batch miss dedup, then the masked classifier —
+//	all on the already-packed key);
 //	phase 2 chains packets by resolved flow and executes each flow's action
 //	list once per group, then flushes the per-destination accumulators.
 //
@@ -277,24 +259,35 @@ func (p *pmdThread) processBatch(inPort uint32, bufs []*mempool.Buf, snap *portS
 	emcOn := !p.s.cfg.EMCDisabled
 	smcOn := !p.s.cfg.SMCDisabled
 
-	// Phase 1: parse + classify into scratch.
+	// Touch pass: stamp each buffer and load the first line of its frame.
+	// The loads do not depend on one another, so their cache misses overlap
+	// instead of each stalling the walk below in turn — the stand-in for
+	// OvS-DPDK's per-packet OVS_PREFETCH in dfc_processing.
+	var touched uint64
+	for _, b := range bufs {
+		b.Port = inPort
+		if b.Len > 0 {
+			touched += uint64(b.Data[b.Off])
+		}
+	}
+	p.touched += touched
+
+	// Phase 1: walk + classify into scratch.
 	n := int32(0)
 	p.missIdx, p.missHash = p.missIdx[:0], p.missHash[:0]
 	var emcHits, emcMisses, smcHits, smcMisses, smcFalsePos, misses, tableMisses, dedups, parseErrs uint64
 	for _, b := range bufs {
-		b.Port = inPort
-		frame := b.Bytes()
-		if err := p.parser.Parse(frame); err != nil {
+		m := &p.metas[n]
+		hash, layers, l3, ok := flow.PackFrame(b.Bytes(), inPort, &m.kp)
+		if !ok {
 			p.drops = append(p.drops, b)
 			parseErrs++
 			continue
 		}
-		m := &p.metas[n]
 		m.buf = b
-		m.hash = flow.PackFrame(&p.parser, frame, inPort, &m.kp)
-		m.decoded = p.parser.Decoded
-		m.eth = p.parser.Eth
-		m.ipv4 = p.parser.IPv4
+		m.hash = hash
+		m.decoded = layers
+		m.l3 = uint16(l3)
 		m.next = -1
 		var f *flow.Flow
 		resolved := false
@@ -620,19 +613,11 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 				p.freeGroup(g)
 			}
 			return
-		case flow.ActSetEthSrc:
+		case flow.ActSetEthSrc, flow.ActSetEthDst:
 			if !moved {
 				for i := g.first; i >= 0; i = p.metas[i].next {
-					if m := &p.metas[i]; m.buf != nil && m.decoded.Has(pkt.LayerEthernet) {
-						m.eth.SetSrc(a.MAC)
-					}
-				}
-			}
-		case flow.ActSetEthDst:
-			if !moved {
-				for i := g.first; i >= 0; i = p.metas[i].next {
-					if m := &p.metas[i]; m.buf != nil && m.decoded.Has(pkt.LayerEthernet) {
-						m.eth.SetDst(a.MAC)
+					if m := &p.metas[i]; m.buf != nil {
+						setEth(m.buf.Bytes(), a)
 					}
 				}
 			}
@@ -640,7 +625,7 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 			if !moved {
 				for i := g.first; i >= 0; i = p.metas[i].next {
 					m := &p.metas[i]
-					if m.buf == nil || !m.decoded.Has(pkt.LayerEthernet) {
+					if m.buf == nil {
 						continue
 					}
 					if _, err := m.buf.Prepend(pkt.VLANLen); err != nil {
@@ -656,7 +641,7 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 						continue
 					}
 					m.decoded |= pkt.LayerVLAN
-					m.refreshViews()
+					m.l3 += pkt.VLANLen
 				}
 			}
 		case flow.ActPopVlan:
@@ -670,8 +655,11 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 						continue
 					}
 					_ = m.buf.Adj(pkt.VLANLen)
-					m.decoded &^= pkt.LayerVLAN
-					m.refreshViews()
+					// Popping a tag pushed over an arriving one leaves
+					// the frame tagged.
+					if m.l3 -= pkt.VLANLen; m.l3 == pkt.EthernetLen {
+						m.decoded &^= pkt.LayerVLAN
+					}
 				}
 			}
 		case flow.ActSetVlan:
@@ -707,14 +695,10 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 					if m.buf == nil || !m.decoded.Has(pkt.LayerIPv4) {
 						continue
 					}
-					ttl := m.ipv4.TTL()
-					if ttl <= 1 {
+					if !decTTL(m.buf.Bytes(), int(m.l3)) {
 						p.drops = append(p.drops, m.buf)
 						m.buf = nil
-						continue
 					}
-					m.ipv4.SetTTL(ttl - 1)
-					m.ipv4.UpdateChecksum()
 				}
 			}
 		}
@@ -735,4 +719,36 @@ func (p *pmdThread) freeGroup(g *flowGroup) (freed uint64) {
 		}
 	}
 	return freed
+}
+
+// setEth applies a set-eth-src or set-eth-dst action to frame, which the
+// header walk has found to hold an Ethernet header.
+func setEth(frame []byte, a flow.Action) {
+	eth, err := pkt.DecodeEthernet(frame)
+	if err != nil {
+		return // not reached: the walk rejects a frame this short
+	}
+	if a.Type == flow.ActSetEthSrc {
+		eth.SetSrc(a.MAC)
+	} else {
+		eth.SetDst(a.MAC)
+	}
+}
+
+// decTTL decrements the TTL of the IPv4 header at frame[l3:], which the
+// header walk has validated, and refreshes its checksum. It reports false,
+// leaving the frame as it was, when the TTL has run out and the frame must
+// drop.
+func decTTL(frame []byte, l3 int) bool {
+	ip, err := pkt.DecodeIPv4(frame[l3:])
+	if err != nil {
+		return true // not reached: the walk validated this header
+	}
+	ttl := ip.TTL()
+	if ttl <= 1 {
+		return false
+	}
+	ip.SetTTL(ttl - 1)
+	ip.UpdateChecksum()
+	return true
 }

@@ -322,8 +322,8 @@ type Switch struct {
 	// DedupHits counts within-batch duplicate misses resolved from an
 	// earlier packet of the same batch instead of a second classifier walk.
 	DedupHits atomic.Uint64
-	// ParseErrors counts frames the parser rejected; they are dropped
-	// before classification.
+	// ParseErrors counts frames the header walk rejected — too short for an
+	// Ethernet header; they are dropped before classification.
 	ParseErrors atomic.Uint64
 	// ECMPRepicks counts adaptive-ECMP avoid-set changes: each time a flow's
 	// path mask moved off (or back onto) a congested bundle slot through the
